@@ -17,29 +17,43 @@
 //      addresses to rl handles, lazily and exactly-once, which is what
 //      makes PTHREAD_MUTEX_INITIALIZER locks (no init call to
 //      intercept) work.
-//   2. Reentrancy guard — resilock's own internal pthread usage
-//      forwards to the real glibc symbols (interpose/reentry.hpp);
+//   2. Reentrancy guard — resilock's own internal mutex and rwlock
+//      usage forwards to the real glibc symbols (interpose/reentry.hpp);
 //      without this, adopting lockdep's graph mutex would recurse into
 //      lockdep.
-//   3. Condition-variable shadow mutexes — pthread_cond_wait must not
-//      see an adopted (non-glibc) mutex, so waits are re-expressed over
-//      a per-cond REAL mutex with the rl lock released around the wait
-//      (LiTL's scheme); signal/broadcast serialize on the same shadow
-//      to close the missed-wakeup window.
+//   3. Native condition variables — glibc's cond_wait would manipulate
+//      the passed mutex's internals, which an adopted mutex no longer
+//      uses, so every pthread_cond_* entry point runs park::CondWord
+//      (park/cond_word.hpp) in the app's own pthread_cond_t bytes: a
+//      futex sequence word, the clock recorded at init, and a
+//      {waiters, wakes} token word. All-zero bytes are an idle condvar,
+//      so PTHREAD_COND_INITIALIZER statics need no adoption. It does so
+//      on every thread, reentered and pinned ones included, so a
+//      condvar has one implementation whichever thread touches it (a
+//      static destructor broadcasting from a thread pinned at exit
+//      still wakes workers asleep in it). Only the mutex a wait
+//      releases and re-acquires follows the thread's routing: the rl
+//      handle on app threads, so a wait on a mutex the caller does not
+//      hold gets the shield's EPERM (and its misuse event) without
+//      waiting or acquiring anything; glibc's on reentered or pinned
+//      ones, matching their own lock calls.
 //
 // Deliberate non-goals, as in LiTL: mutex/rwlock attributes are
 // ignored (a recursive-attr relock surfaces as the shield's
-// reentrant-relock event; a cond initialized with a non-default clock
-// attr is honored only when glibc provides the native clockwait
-// symbol), PI/robust protocols are not emulated, and fork() without
-// exec() is unsupported (resilock_drive exec()s).
+// reentrant-relock event), PI/robust protocols are not emulated, and
+// fork() without exec() is unsupported (resilock_drive exec()s). The
+// cond clock attribute IS honoured; a CLOCK_REALTIME deadline is
+// re-based onto CLOCK_MONOTONIC once, at the call, so a wall-clock step
+// during the wait does not move it. Cond waits stay cancellation
+// points. A PTHREAD_PROCESS_SHARED condvar stays per-process (private
+// futex ops), as before.
 //
 // The clock-based entry points (pthread_mutex_clocklock,
 // pthread_rwlock_clock{rd,wr}lock, pthread_cond_clockwait; glibc 2.30+)
 // ARE interposed — leaving them to glibc would lock the raw object at
 // an address whose other users go through the adopted handle, silently
-// breaking mutual exclusion. They translate the caller's clock into
-// the CLOCK_REALTIME deadline the rl timed APIs take.
+// breaking mutual exclusion. The lock variants translate the caller's
+// clock into the CLOCK_REALTIME deadline the rl timed APIs take.
 
 #include <dlfcn.h>
 #include <pthread.h>
@@ -47,16 +61,20 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <ctime>
 
 #include "interpose/preload_registry.hpp"
 #include "interpose/pthread_shim.hpp"
 #include "interpose/reentry.hpp"
 #include "observe/callsite.hpp"
+#include "park/cond_word.hpp"
+#include "platform/chrono_to_timespec.hpp"
 #include "platform/env.hpp"
-#include "platform/spin.hpp"
 
 namespace ri = resilock::interpose;
+namespace park = resilock::park;
+namespace platform = resilock::platform;
 
 namespace {
 
@@ -105,21 +123,12 @@ struct RealPthread {
   int (*rwlock_unlock)(pthread_rwlock_t*);
   int (*rwlock_destroy)(pthread_rwlock_t*);
 
-  int (*cond_wait)(pthread_cond_t*, pthread_mutex_t*);
-  int (*cond_timedwait)(pthread_cond_t*, pthread_mutex_t*,
-                        const timespec*);
-  int (*cond_signal)(pthread_cond_t*);
-  int (*cond_broadcast)(pthread_cond_t*);
-  int (*cond_destroy)(pthread_cond_t*);
-
   // glibc 2.30+ clock variants; nullptr on older libcs (opt_sym).
   int (*mutex_clocklock)(pthread_mutex_t*, clockid_t, const timespec*);
   int (*rwlock_clockrdlock)(pthread_rwlock_t*, clockid_t,
                             const timespec*);
   int (*rwlock_clockwrlock)(pthread_rwlock_t*, clockid_t,
                             const timespec*);
-  int (*cond_clockwait)(pthread_cond_t*, pthread_mutex_t*, clockid_t,
-                        const timespec*);
 };
 
 RealPthread& real() {
@@ -158,16 +167,6 @@ RealPthread& real() {
         must_sym<int(pthread_rwlock_t*)>("pthread_rwlock_unlock");
     t.rwlock_destroy =
         must_sym<int(pthread_rwlock_t*)>("pthread_rwlock_destroy");
-    t.cond_wait = must_sym<int(pthread_cond_t*, pthread_mutex_t*)>(
-        "pthread_cond_wait");
-    t.cond_timedwait =
-        must_sym<int(pthread_cond_t*, pthread_mutex_t*, const timespec*)>(
-            "pthread_cond_timedwait");
-    t.cond_signal = must_sym<int(pthread_cond_t*)>("pthread_cond_signal");
-    t.cond_broadcast =
-        must_sym<int(pthread_cond_t*)>("pthread_cond_broadcast");
-    t.cond_destroy =
-        must_sym<int(pthread_cond_t*)>("pthread_cond_destroy");
     t.mutex_clocklock =
         opt_sym<int(pthread_mutex_t*, clockid_t, const timespec*)>(
             "pthread_mutex_clocklock");
@@ -177,161 +176,12 @@ RealPthread& real() {
     t.rwlock_clockwrlock =
         opt_sym<int(pthread_rwlock_t*, clockid_t, const timespec*)>(
             "pthread_rwlock_clockwrlock");
-    t.cond_clockwait = opt_sym<int(pthread_cond_t*, pthread_mutex_t*,
-                                   clockid_t, const timespec*)>(
-        "pthread_cond_clockwait");
     return t;
   }();
   return r;
 }
 
 ri::PreloadRegistry& reg() { return ri::PreloadRegistry::instance(); }
-
-// ---------------------------------------------------------------------
-// Condition-variable shadow mutexes. glibc's cond_wait manipulates the
-// passed mutex's internals, which an adopted mutex no longer has — so
-// each pthread_cond_t gets a shadow REAL mutex, keyed by address like
-// the adoption registry (never freed, per-bucket spinlock insert,
-// lock-free lookup). The wait protocol:
-//
-//   waiter:   lock(shadow) → rl_unlock(m) → real_cond_wait(c, shadow)
-//             → unlock(shadow) → rl_lock(m)
-//   signaler: lock(shadow) → real_cond_signal(c) → unlock(shadow)
-//
-// A signaler that observes the predicate change after the waiter's
-// rl_unlock must still acquire the shadow, which the waiter holds
-// until it is inside real_cond_wait — so the signal cannot land in the
-// gap between "released m" and "began waiting". This is the standard
-// transparent-interposition wait transformation (LiTL §3).
-//
-// Reclamation: pthread_cond_destroy unlinks the cond's shadow node
-// onto a free list that shadow_of reuses, so a program churning
-// heap-allocated condvars at fresh addresses holds the table at its
-// peak-live size instead of growing without bound. Nodes are never
-// freed — a lock-free reader can still be traversing one — which makes
-// stale traversal benign: a reader that follows a recycled node's next
-// pointer off its chain simply misses, and the locked slow path
-// re-checks under the bucket lock before inserting. (Racing shadow_of
-// against destroy of the SAME cond is already UB per POSIX; the free
-// list only has to keep that race memory-safe, not meaningful.)
-// ---------------------------------------------------------------------
-
-struct CondShadow {
-  std::atomic<const void*> key{nullptr};
-  pthread_mutex_t mu = PTHREAD_MUTEX_INITIALIZER;
-  std::atomic<CondShadow*> next{nullptr};
-};
-
-class CondShadowTable {
- public:
-  pthread_mutex_t* shadow_of(const void* cond) {
-    const std::size_t b = bucket_of(cond);
-    for (CondShadow* n = heads_[b].load(std::memory_order_acquire);
-         n != nullptr; n = n->next.load(std::memory_order_acquire)) {
-      if (n->key.load(std::memory_order_acquire) == cond) return &n->mu;
-    }
-    resilock::platform::SpinWait w;
-    while (locks_[b].test_and_set(std::memory_order_acquire)) w.pause();
-    CondShadow* head = heads_[b].load(std::memory_order_relaxed);
-    for (CondShadow* n = head; n != nullptr;
-         n = n->next.load(std::memory_order_relaxed)) {
-      if (n->key.load(std::memory_order_relaxed) == cond) {
-        locks_[b].clear(std::memory_order_release);
-        return &n->mu;
-      }
-    }
-    CondShadow* n = pop_free();
-    if (n == nullptr) n = new (std::nothrow) CondShadow;
-    if (n == nullptr) {
-      std::fprintf(stderr,
-                   "resilock_preload: out of memory shadowing cond %p\n",
-                   cond);
-      std::abort();
-    }
-    n->key.store(cond, std::memory_order_relaxed);
-    n->next.store(head, std::memory_order_relaxed);
-    heads_[b].store(n, std::memory_order_release);
-    locks_[b].clear(std::memory_order_release);
-    return &n->mu;
-  }
-
-  // pthread_cond_destroy hook: unlink cond's node (if any) and recycle
-  // it. The shadow mutex stays as-is — a destroyed cond has no waiters,
-  // so it is unlocked and reusable verbatim.
-  void reclaim(const void* cond) {
-    const std::size_t b = bucket_of(cond);
-    resilock::platform::SpinWait w;
-    while (locks_[b].test_and_set(std::memory_order_acquire)) w.pause();
-    CondShadow* prev = nullptr;
-    for (CondShadow* n = heads_[b].load(std::memory_order_relaxed);
-         n != nullptr; n = n->next.load(std::memory_order_relaxed)) {
-      if (n->key.load(std::memory_order_relaxed) == cond) {
-        CondShadow* after = n->next.load(std::memory_order_relaxed);
-        if (prev == nullptr) {
-          heads_[b].store(after, std::memory_order_release);
-        } else {
-          prev->next.store(after, std::memory_order_release);
-        }
-        n->key.store(nullptr, std::memory_order_relaxed);
-        push_free(n);
-        break;
-      }
-      prev = n;
-    }
-    locks_[b].clear(std::memory_order_release);
-  }
-
- private:
-  static constexpr std::size_t kBuckets = 512;
-
-  static std::size_t bucket_of(const void* p) noexcept {
-    auto h = reinterpret_cast<std::uintptr_t>(p);
-    h ^= h >> 16;
-    h *= 0x9E3779B97F4A7C15ull;
-    return (h >> 32) & (kBuckets - 1);
-  }
-
-  CondShadow* pop_free() {
-    resilock::platform::SpinWait w;
-    while (free_lock_.test_and_set(std::memory_order_acquire)) w.pause();
-    CondShadow* n = free_head_;
-    if (n != nullptr) free_head_ = n->next.load(std::memory_order_relaxed);
-    free_lock_.clear(std::memory_order_release);
-    return n;
-  }
-
-  void push_free(CondShadow* n) {
-    resilock::platform::SpinWait w;
-    while (free_lock_.test_and_set(std::memory_order_acquire)) w.pause();
-    n->next.store(free_head_, std::memory_order_relaxed);
-    free_head_ = n;
-    free_lock_.clear(std::memory_order_release);
-  }
-
-  std::atomic<CondShadow*> heads_[kBuckets] = {};
-  std::atomic_flag locks_[kBuckets] = {};
-  std::atomic_flag free_lock_ = {};
-  CondShadow* free_head_ = nullptr;
-};
-
-CondShadowTable& shadows() {
-  static CondShadowTable* t = new CondShadowTable;
-  return *t;
-}
-
-int cond_wait_adopted(pthread_cond_t* c, pthread_mutex_t* m,
-                      ri::rl_mutex_t* h, const timespec* abstime) {
-  pthread_mutex_t* shadow = shadows().shadow_of(c);
-  real().mutex_lock(shadow);
-  ri::rl_mutex_unlock(h);
-  const int rc = abstime == nullptr
-                     ? real().cond_wait(c, shadow)
-                     : real().cond_timedwait(c, shadow, abstime);
-  real().mutex_unlock(shadow);
-  (void)m;
-  ri::rl_mutex_lock(h);
-  return rc;
-}
 
 // ---------------------------------------------------------------------
 // Clock-variant deadline translation. The rl timed APIs speak
@@ -369,34 +219,61 @@ int clock_deadline_to_realtime(clockid_t clockid, const timespec* abstime,
   return 0;
 }
 
-// Real-symbol dispatch for the cond clock wait: native when the libc
-// has it, otherwise translated onto cond_timedwait (correct for the
-// default REALTIME cond clock attr; see the non-goals note).
-int real_cond_clockwait(pthread_cond_t* c, pthread_mutex_t* mu,
-                        clockid_t clockid, const timespec* abstime) {
-  if (real().cond_clockwait != nullptr) {
-    return real().cond_clockwait(c, mu, clockid, abstime);
-  }
-  timespec wall;
-  const int rc = clock_deadline_to_realtime(clockid, abstime, &wall);
-  return rc != 0 ? rc : real().cond_timedwait(c, mu, &wall);
+// ---------------------------------------------------------------------
+// Native condvars (mechanism 3): the app's pthread_cond_t bytes ARE the
+// park::CondWord, on every thread.
+// ---------------------------------------------------------------------
+
+static_assert(sizeof(park::CondWord) <= sizeof(pthread_cond_t));
+static_assert(alignof(park::CondWord) <= alignof(pthread_cond_t));
+
+park::CondWord& cond_word(pthread_cond_t* c) {
+  return *reinterpret_cast<park::CondWord*>(c);
 }
 
-int cond_clockwait_adopted(pthread_cond_t* c, ri::rl_mutex_t* h,
-                           clockid_t clockid, const timespec* abstime) {
-  pthread_mutex_t* shadow = shadows().shadow_of(c);
-  real().mutex_lock(shadow);
-  ri::rl_mutex_unlock(h);
-  const int rc = real_cond_clockwait(c, shadow, clockid, abstime);
-  real().mutex_unlock(shadow);
-  ri::rl_mutex_lock(h);
-  return rc;
+// The CLOCK_MONOTONIC deadline a timed wait parks against. EINVAL, as
+// in glibc, for a bad tv_nsec or a clock other than REALTIME/MONOTONIC.
+int cond_deadline(clockid_t clockid, const timespec* abstime,
+                  std::uint64_t* out) {
+  if (abstime == nullptr || !platform::timespec_valid(*abstime)) {
+    return EINVAL;
+  }
+  if (clockid == CLOCK_MONOTONIC) {
+    *out = platform::ns_from_timespec(*abstime);
+  } else if (clockid == CLOCK_REALTIME) {
+    *out = platform::monotonic_deadline_from_realtime(*abstime);
+  } else {
+    return EINVAL;
+  }
+  return 0;
+}
+
+// A wait whose mutex is routed the way the thread's own lock calls
+// are. An app thread goes through the adopted handle, adopting on first
+// sight: a wait on a mutex the caller does not hold is the shield's
+// unbalanced or non-owner unlock, returned as EPERM before any wait. A
+// reentered or pinned thread locks glibc's mutex, so it releases and
+// re-acquires that one. `site` is the app's return address.
+int cond_wait_routed(pthread_cond_t* c, pthread_mutex_t* m,
+                     std::uint64_t deadline_mono_ns, const void* site) {
+  if (ri::preload_reentered()) {
+    return park::cond_wait(
+        cond_word(c), [m] { return real().mutex_unlock(m); },
+        [m] { real().mutex_lock(m); }, deadline_mono_ns);
+  }
+  ri::PreloadReentryScope guard;
+  resilock::observe::InterposedSiteScope scope(site);
+  ri::rl_mutex_t* h = reg().mutex_for(m);
+  return park::cond_wait(
+      cond_word(c), [h] { return ri::rl_mutex_unlock(h); },
+      [h] { ri::rl_mutex_lock(h); }, deadline_mono_ns);
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------
-// The interposed entry points. Shape shared by all of them:
+// The interposed entry points. Shape shared by the mutex and rwlock
+// ones:
 //
 //   if (reentered) forward to glibc     — resilock machinery on stack
 //   guard + site-override scopes        — internals forward; lockstat
@@ -404,7 +281,8 @@ int cond_clockwait_adopted(pthread_cond_t* c, ri::rl_mutex_t* h,
 //   route through registry + rl_* shim
 //
 // The guard must open BEFORE the registry call: adoption itself runs
-// resilock machinery.
+// resilock machinery. The pthread_cond_* ones never forward (mechanism
+// 3); a wait routes only its mutex (cond_wait_routed).
 // ---------------------------------------------------------------------
 
 extern "C" {
@@ -589,64 +467,51 @@ int pthread_rwlock_destroy(pthread_rwlock_t* rw) {
   return rc;
 }
 
+int pthread_cond_init(pthread_cond_t* c, const pthread_condattr_t* a) {
+  clockid_t clock = CLOCK_REALTIME;
+  if (a != nullptr) pthread_condattr_getclock(a, &clock);
+  std::memset(c, 0, sizeof(*c));
+  cond_word(c).clock = static_cast<std::uint32_t>(clock);
+  return 0;
+}
+
 int pthread_cond_wait(pthread_cond_t* c, pthread_mutex_t* m) {
-  if (ri::preload_reentered()) return real().cond_wait(c, m);
-  ri::PreloadReentryScope guard;
-  resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
-  ri::rl_mutex_t* h = reg().find_mutex(m);
-  // Unadopted mutex here means the caller never locked it through us —
-  // already UB for cond_wait; glibc's own diagnosis is the best answer.
-  if (h == nullptr) return real().cond_wait(c, m);
-  return cond_wait_adopted(c, m, h, nullptr);
+  return cond_wait_routed(c, m, platform::kNsInfinite,
+                          RESILOCK_RETURN_ADDRESS());
 }
 
 int pthread_cond_timedwait(pthread_cond_t* c, pthread_mutex_t* m,
                            const timespec* abstime) {
-  if (ri::preload_reentered()) return real().cond_timedwait(c, m, abstime);
-  ri::PreloadReentryScope guard;
-  resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
-  ri::rl_mutex_t* h = reg().find_mutex(m);
-  if (h == nullptr) return real().cond_timedwait(c, m, abstime);
-  return cond_wait_adopted(c, m, h, abstime);
+  std::uint64_t deadline;
+  const int rc = cond_deadline(static_cast<clockid_t>(cond_word(c).clock),
+                               abstime, &deadline);
+  return rc != 0 ? rc
+                 : cond_wait_routed(c, m, deadline, RESILOCK_RETURN_ADDRESS());
 }
 
 int pthread_cond_clockwait(pthread_cond_t* c, pthread_mutex_t* m,
                            clockid_t clockid, const timespec* abstime) {
-  if (ri::preload_reentered()) {
-    return real_cond_clockwait(c, m, clockid, abstime);
-  }
-  ri::PreloadReentryScope guard;
-  resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
-  ri::rl_mutex_t* h = reg().find_mutex(m);
-  if (h == nullptr) return real_cond_clockwait(c, m, clockid, abstime);
-  return cond_clockwait_adopted(c, h, clockid, abstime);
+  std::uint64_t deadline;
+  const int rc = cond_deadline(clockid, abstime, &deadline);
+  return rc != 0 ? rc
+                 : cond_wait_routed(c, m, deadline, RESILOCK_RETURN_ADDRESS());
 }
 
+// Signal, broadcast and destroy run no resilock machinery (atomics and
+// a futex syscall), so every thread takes the same path.
 int pthread_cond_signal(pthread_cond_t* c) {
-  if (ri::preload_reentered()) return real().cond_signal(c);
-  ri::PreloadReentryScope guard;
-  pthread_mutex_t* shadow = shadows().shadow_of(c);
-  real().mutex_lock(shadow);
-  const int rc = real().cond_signal(c);
-  real().mutex_unlock(shadow);
-  return rc;
+  park::cond_signal(cond_word(c));
+  return 0;
 }
 
 int pthread_cond_broadcast(pthread_cond_t* c) {
-  if (ri::preload_reentered()) return real().cond_broadcast(c);
-  ri::PreloadReentryScope guard;
-  pthread_mutex_t* shadow = shadows().shadow_of(c);
-  real().mutex_lock(shadow);
-  const int rc = real().cond_broadcast(c);
-  real().mutex_unlock(shadow);
-  return rc;
+  park::cond_broadcast(cond_word(c));
+  return 0;
 }
 
 int pthread_cond_destroy(pthread_cond_t* c) {
-  if (ri::preload_reentered()) return real().cond_destroy(c);
-  ri::PreloadReentryScope guard;
-  shadows().reclaim(c);
-  return real().cond_destroy(c);
+  park::cond_quiesce(cond_word(c));
+  return 0;
 }
 
 }  // extern "C"

@@ -10,12 +10,14 @@
 //
 // The guard is a per-thread depth counter. Every preload entry point
 // bumps it for the duration of the rl_* call it forwards to, so any
-// pthread call made WHILE resilock code is on the stack sees a nonzero
-// depth and forwards straight to the real glibc symbol. The invariant
-// that falls out: resilock-internal locks are only ever operated
-// through the real implementation, never adopted — by construction,
-// because resilock code only runs inside guarded frames or on pinned
-// threads.
+// mutex or rwlock call made WHILE resilock code is on the stack sees a
+// nonzero depth and forwards straight to the real glibc symbol. The
+// invariant that falls out: resilock-internal locks are only ever
+// operated through the real implementation, never adopted — by
+// construction, because resilock code only runs inside guarded frames
+// or on pinned threads. Condition variables are the exception: the
+// preload runs its own on every thread, and only the mutex a wait
+// releases follows this routing (preload.cpp, mechanism 3).
 //
 // Threads that run resilock code OUTSIDE an interposed frame (the
 // telemetry collector's duty cycle is the one such thread today) pin

@@ -147,22 +147,24 @@ void Graph::unpin_epoch() {
 }
 
 std::int32_t Graph::claim_reader_slot() {
-  std::lock_guard<std::mutex> g(reader_mutex_);
-  if (!reader_free_.empty()) {
-    const std::uint32_t idx = reader_free_.back();
-    reader_free_.pop_back();
-    return static_cast<std::int32_t>(idx);
-  }
-  if (reader_next_ < kEpochReaders) {
-    return static_cast<std::int32_t>(reader_next_++);
+  for (std::uint32_t w = 0; w < kEpochReaders / 64; ++w) {
+    std::uint64_t bits = reader_leased_[w].load(std::memory_order_relaxed);
+    while (bits != ~std::uint64_t{0}) {
+      const int bit = __builtin_ctzll(~bits);
+      if (reader_leased_[w].compare_exchange_weak(
+              bits, bits | (std::uint64_t{1} << bit),
+              std::memory_order_acq_rel, std::memory_order_relaxed)) {
+        return static_cast<std::int32_t>(w * 64 + bit);
+      }
+    }
   }
   return -1;
 }
 
 void Graph::release_reader_slot(std::uint32_t idx) {
   readers_[idx].epoch.store(0, std::memory_order_seq_cst);
-  std::lock_guard<std::mutex> g(reader_mutex_);
-  reader_free_.push_back(idx);
+  reader_leased_[idx / 64].fetch_and(~(std::uint64_t{1} << (idx % 64)),
+                                     std::memory_order_acq_rel);
 }
 
 // ---------------------------------------------------------------------

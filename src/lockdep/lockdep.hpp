@@ -581,13 +581,13 @@ class Graph {
   // Epoch machinery. Reader slots are leased per thread (returned at
   // thread exit); when the pool is exhausted, extra readers pin via
   // the fallback counter, which blocks ALL reclamation while nonzero
-  // (correct, just coarser).
+  // (correct, just coarser). The lease bitmap is lock-free: the lease
+  // returns from a thread-exit destructor, outside any interposed
+  // frame, where a mutex would be adopted by the LD_PRELOAD shim.
   ReaderSlot readers_[kEpochReaders];
   std::atomic<std::uint64_t> global_epoch_{1};
   std::atomic<std::uint32_t> fallback_pins_{0};
-  std::mutex reader_mutex_;
-  std::vector<std::uint32_t> reader_free_;
-  std::uint32_t reader_next_ = 0;
+  std::atomic<std::uint64_t> reader_leased_[kEpochReaders / 64] = {};
 
   std::mutex limbo_mutex_;
   LimboEntry* limbo_head_ = nullptr;

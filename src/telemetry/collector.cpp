@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <mutex>
 #include <thread>
@@ -13,6 +11,8 @@
 #include "lockdep/lockdep.hpp"
 #include "lockdep/trace_export.hpp"
 #include "observe/lockstat.hpp"
+#include "park/futex.hpp"
+#include "platform/chrono_to_timespec.hpp"
 #include "platform/env.hpp"
 #include "response/response.hpp"
 #include "runtime/timer.hpp"
@@ -45,10 +45,9 @@ struct Collector::Impl {
   std::mutex lifecycle;
   std::thread worker;
 
-  // Worker wakeup.
-  std::mutex cv_mu;
-  std::condition_variable cv;
-  bool stop_requested = false;  // guarded by cv_mu
+  // Worker wakeup: stop() sets the word and wakes the duty cycle's
+  // sleep on it.
+  std::atomic<std::uint32_t> stop_word{0};
 
   std::atomic<bool> running{false};
   std::atomic<bool> in_start{false};
@@ -146,10 +145,7 @@ struct Collector::Impl {
       const std::size_t n = drain_cycle();
       maybe_dump_metrics(false);
       maybe_dump_lockstat(false);
-      {
-        std::unique_lock<std::mutex> lk(cv_mu);
-        if (stop_requested) return;
-      }
+      if (stop_word.load(std::memory_order_acquire) != 0) return;
       if (n >= kHardBatch) {
         // Producers are outrunning the cycle; drain back-to-back
         // until the batch thins out.
@@ -161,11 +157,9 @@ struct Collector::Impl {
       cur_sleep = (n == 0) ? std::min(cur_sleep * 2, kMaxSleepUs)
                            : kMinSleepUs;
       sleep_us.store(cur_sleep, std::memory_order_relaxed);
-      std::unique_lock<std::mutex> lk(cv_mu);
-      if (cv.wait_for(lk, std::chrono::microseconds(cur_sleep),
-                      [this] { return stop_requested; })) {
-        return;
-      }
+      const timespec rel = platform::timespec_from_ns(cur_sleep * 1000);
+      park::futex_wait(&stop_word, 0, &rel);
+      if (stop_word.load(std::memory_order_acquire) != 0) return;
     }
   }
 };
@@ -263,10 +257,7 @@ bool Collector::start() {
         1000000ull;
     impl_->last_lockstat_ns = 0;
     observe::install_signal_trigger_from_env();
-    {
-      std::lock_guard<std::mutex> cg(impl_->cv_mu);
-      impl_->stop_requested = false;
-    }
+    impl_->stop_word.store(0, std::memory_order_relaxed);
     impl_->worker = std::thread([impl = impl_] { impl->run(); });
     impl_->running.store(true, std::memory_order_release);
   }
@@ -280,11 +271,8 @@ void Collector::stop() {
     if (impl_->worker.get_id() == std::this_thread::get_id()) {
       return;  // never expected; refuse to self-join
     }
-    {
-      std::lock_guard<std::mutex> cg(impl_->cv_mu);
-      impl_->stop_requested = true;
-    }
-    impl_->cv.notify_all();
+    impl_->stop_word.store(1, std::memory_order_release);
+    park::futex_wake_all(&impl_->stop_word);
     impl_->worker.join();
     impl_->worker = std::thread();
     impl_->running.store(false, std::memory_order_release);

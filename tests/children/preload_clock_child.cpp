@@ -1,7 +1,7 @@
 // Clock-variant guinea pig (glibc 2.30+ entry points): a shim-unaware
 // pthread program whose lock traffic goes through the clock-based
 // calls — pthread_mutex_clocklock, pthread_rwlock_clock{rd,wr}lock,
-// pthread_cond_clockwait — plus a cond create/destroy churn loop.
+// pthread_cond_clockwait.
 // Compiled at test time by test_preload.cpp and run under
 // LD_PRELOAD=libresilock_preload.so.
 //
@@ -153,20 +153,6 @@ int main() {
            (rc == ETIMEDOUT && urc == 0) ? "ok" : "bad");
     pthread_cond_destroy(&cv);
   }
-
-  // Shadow reclamation churn: heap condvars at fresh addresses, each
-  // signaled (forcing a shadow entry) then destroyed. Without a
-  // destroy hook the interposer's shadow table grows monotonically;
-  // with it this loop recycles a handful of nodes.
-  for (int i = 0; i < 512; ++i) {
-    pthread_cond_t* cv =
-        static_cast<pthread_cond_t*>(malloc(sizeof(pthread_cond_t)));
-    pthread_cond_init(cv, nullptr);
-    pthread_cond_signal(cv);
-    pthread_cond_destroy(cv);
-    free(cv);
-  }
-  printf("cond-churn=done\n");
 
   printf("clock-child-exit\n");
   return 0;

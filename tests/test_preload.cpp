@@ -79,15 +79,28 @@ const std::string& child_bin(const std::string& name) {
   static Built child = build("preload_child");
   static Built static_init = build("preload_static_init");
   static Built clock_child = build("preload_clock_child");
+  static Built cond_child = build("preload_cond_child");
   static const Built none{"", false};
-  const Built& b =
-      name == "preload_child"
-          ? child
-          : (name == "preload_static_init"
-                 ? static_init
-                 : (name == "preload_clock_child" ? clock_child : none));
+  const Built& b = name == "preload_child"         ? child
+                   : name == "preload_static_init" ? static_init
+                   : name == "preload_clock_child" ? clock_child
+                   : name == "preload_cond_child"  ? cond_child
+                                                   : none;
   EXPECT_TRUE(b.ok) << "failed to compile child " << name;
   return b.path;
+}
+
+// True when one line of the JSONL trace carries every needle.
+bool trace_line_has(const std::string& trace, const std::string& a,
+                    const std::string& b) {
+  std::istringstream in(trace);
+  for (std::string line; std::getline(in, line);) {
+    if (line.find(a) != std::string::npos &&
+        line.find(b) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
 }
 
 std::string preload_env() {
@@ -174,8 +187,6 @@ TEST(PreloadE2E, StaticInitializerAdoptedExactlyOnce) {
 // — no mutual exclusion), monotonic deadlines produce ETIMEDOUT
 // against held locks, unsupported clocks produce EINVAL, and a
 // cond_clockwait with no signaler times out with the lock reacquired.
-// The churn loop at the end exercises the cond-shadow reclamation in
-// pthread_cond_destroy.
 TEST(PreloadE2E, ClockVariantsRouteThroughAdoptedHandles) {
   RunResult r = run("env " + preload_env() + " " +
                     child_bin("preload_clock_child"));
@@ -192,7 +203,6 @@ TEST(PreloadE2E, ClockVariantsRouteThroughAdoptedHandles) {
       << r.out;
   EXPECT_NE(r.out.find("clockwait-timeout=ok"), std::string::npos)
       << r.out;
-  EXPECT_NE(r.out.find("cond-churn=done"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("clock-child-exit"), std::string::npos) << r.out;
 }
 
@@ -214,4 +224,72 @@ TEST(PreloadE2E, BareAlgorithmModeStillExcludes) {
   const std::string s = slurp(stats);
   EXPECT_NE(s.find("\"adopted_mutexes\":1"), std::string::npos) << s;
   std::remove(stats.c_str());
+}
+
+// A cond wait on a mutex the caller does not hold is the unbalanced
+// unlock the shield exists for: the release inside the wait returns
+// EPERM, the wait returns it at once (no wait, no re-acquire, so the
+// mutex is free for another thread's trylock), and the trace records
+// the unlock with its verdict. Covers a never-touched static mutex
+// (first seen by the wait itself) and one this thread released before.
+TEST(PreloadE2E, CondWaitWithoutLockReturnsEpermAndHoldsNothing) {
+  const std::string trace =
+      ::testing::TempDir() + "preload_cond_trace.jsonl";
+  std::remove(trace.c_str());
+  RunResult r = run("env " + preload_env() + " RESILOCK_TRACE_FILE=" +
+                    trace + " " + child_bin("preload_cond_child") +
+                    " misuse");
+  EXPECT_EQ(r.exit_code, 0) << r.out;
+  // EPERM == 1 on Linux; the trylock's 0 means nothing was acquired.
+  EXPECT_NE(r.out.find("wait-unheld-rc=1\n"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("wait-unheld-trylock=0\n"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("wait-released-rc=1\n"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("wait-released-trylock=0\n"), std::string::npos)
+      << r.out;
+  const std::string t = slurp(trace);
+  EXPECT_TRUE(trace_line_has(t, "\"kind\":\"unbalanced-unlock\"",
+                             "\"verdict\":\"suppress\""))
+      << t;
+  EXPECT_TRUE(trace_line_has(t, "\"kind\":\"double-unlock\"",
+                             "\"verdict\":\"suppress\""))
+      << t;
+  std::remove(trace.c_str());
+}
+
+// The native condvar against the POSIX contract, from an unmodified
+// binary: exact ping-pong handoff count, one broadcast waking all 8
+// waiters, the cond clock attribute honoured, EINVAL on a bad tv_nsec,
+// PTHREAD_COND_INITIALIZER without init, and no waiter stranded after
+// timed waiters time out under racing signals. The child's alarm()
+// turns any lost wakeup into a nonzero exit.
+TEST(PreloadE2E, NativeCondvarKeepsPosixSemantics) {
+  RunResult r = run("env " + preload_env() + " " +
+                    child_bin("preload_cond_child") + " cond");
+  EXPECT_EQ(r.exit_code, 0) << r.out;
+  EXPECT_NE(r.out.find("handoffs=200000\n"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("broadcast-woken=8\n"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("monotonic-timeout=ok"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("bad-nsec-einval=ok"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("static-cond=ok"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("timed-race=ok"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("cancel=ok"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("cond-child-exit"), std::string::npos) << r.out;
+}
+
+// A thread pool shut down by a static destructor: exit() runs it after
+// the telemetry collector's destructor has pinned the exiting thread to
+// glibc, so the stop broadcast comes from a pinned thread while the
+// workers sleep in the native condvar. Every condvar call must reach
+// the same condvar whichever way the thread's mutex calls are routed,
+// or the join never returns and the child's alarm() fires.
+TEST(PreloadE2E, ExitPathBroadcastFromPinnedThreadWakesWorkers) {
+  RunResult r = run("env " + preload_env() + " RESILOCK_TELEMETRY=1 " +
+                    child_bin("preload_cond_child") + " exit");
+  EXPECT_EQ(r.exit_code, 0) << r.out;
+  EXPECT_NE(r.out.find("exit-pool-started\n"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("exit-pool-joined=4\n"), std::string::npos) << r.out;
 }

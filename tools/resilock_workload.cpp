@@ -14,7 +14,7 @@
 //             Invariant: total balance conserved.
 //   pipeline  examples/pipeline shape: 3 stages over bounded queues
 //             built on pthread_mutex_t + pthread_cond_t — exercises the
-//             preload's condition-variable shadow path.
+//             preload's native futex condvar.
 //             Invariant: every produced item consumed, checksum intact.
 //   rwcache   examples/rwcache shape: read-mostly table under a
 //             pthread_rwlock_t. Invariant: paired fields never observed
