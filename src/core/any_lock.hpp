@@ -67,13 +67,13 @@ class AnyLock {
   virtual Resilience resilience() const = 0;
 
   // Total misuses the wrapped lock has detected so far, when the lock
-  // keeps a tally (Shield counters, StatsLock); 0 for bare protocols.
+  // keeps a tally (Shield counters); 0 for bare protocols.
   // Lets interposed programs print detection telemetry without knowing
   // which wrapper (if any) backs the mutex.
   virtual std::uint64_t misuse_total() const { return 0; }
 
   // Live contention telemetry (core/contention.hpp), when the wrapped
-  // lock carries a probe (Shield, StatsLock); 0 for bare protocols.
+  // lock carries a probe (Shield); 0 for bare protocols.
   // The response engine escalates verdicts on these signals; exposing
   // them here lets harness/verify code observe the same numbers the
   // engine sees, whatever wrapper backs the mutex.
@@ -108,8 +108,6 @@ class AnyLockAdapter final : public AnyLock {
   std::uint64_t misuse_total() const override {
     if constexpr (requires { lock_.snapshot().total_misuses(); }) {
       return lock_.snapshot().total_misuses();  // Shield counters
-    } else if constexpr (requires { lock_.snapshot().detected_misuses; }) {
-      return lock_.snapshot().detected_misuses;  // StatsLock counters
     } else {
       return 0;
     }
@@ -126,8 +124,6 @@ class AnyLockAdapter final : public AnyLock {
   std::uint64_t contended_total() const override {
     if constexpr (requires { lock_.contended_total(); }) {
       return lock_.contended_total();
-    } else if constexpr (requires { lock_.snapshot().contended_acquisitions; }) {
-      return lock_.snapshot().contended_acquisitions;
     } else {
       return 0;
     }

@@ -1,15 +1,13 @@
-// Lightweight contention telemetry, extracted from StatsLock and
-// generalized so any wrapper can carry it.
+// Lightweight contention telemetry any wrapper can carry.
 //
-// StatsLock counted contended acquisitions (a trylock probe failed
-// first) as a cumulative statistic. The response engine
-// (src/response/) needs the *live* side of the same signal — "how many
-// threads are blocked on this lock right now?" — to escalate a misuse
-// verdict while the damage radius is non-zero. ContentionProbe keeps
-// both: a live waiter gauge and the cumulative contended-acquire
-// count, at a cost the hot path can ignore (callers only touch the
-// probe when they are about to block, i.e. when they are already
-// losing; the uncontended path pays nothing).
+// The response engine (src/response/) needs the *live* side of the
+// contention signal — "how many threads are blocked on this lock right
+// now?" — to escalate a misuse verdict while the damage radius is
+// non-zero; lockstat and the metrics registry want the cumulative
+// side. ContentionProbe keeps both: a live waiter gauge and the
+// cumulative contended-acquire count, at a cost the hot path can ignore
+// (callers only touch the probe when they are about to block, i.e.
+// when they are already losing; the uncontended path pays nothing).
 #pragma once
 
 #include <atomic>

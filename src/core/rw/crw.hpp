@@ -218,9 +218,9 @@ class CrwLock {
 
   // Shield rescue hook, mirroring BasicTicketLock: an absorbed misuse
   // may have left readers parked on a barrier flag whose owner is gone;
-  // bump the epoch and broadcast so they re-evaluate. (RwShield detects
-  // this pair via `requires` and reports waiters_parked in its rescue
-  // telemetry.)
+  // bump the epoch and broadcast so they re-evaluate. (The shield core,
+  // shield/shield_core.hpp, detects this pair via `requires` and
+  // reports waiters_parked in its rescue telemetry.)
   void misuse_wake() noexcept {
     park::ParkStats::instance().misuse_wakes.fetch_add(
         1, std::memory_order_relaxed);

@@ -25,6 +25,13 @@
 // guard as "if <y = i> then goto exit", with the comparison inverted
 // relative to Figure 12; we implement the evident intent, y != i -> do
 // not reset, matching Figure 12 and the prose.)
+//
+// For Algorithm 2, y is not a sound owner test: a contender that read
+// y = 0 can write y := j after the owner's fast-path x check, so a
+// legitimate owner may hold the lock with y = j. Refusing that release
+// would leave b[owner] set for good, and j, on the slow path, waits for
+// it forever. The resilient Algorithm 2 therefore compares an owner
+// word written on entry to the critical section instead.
 #pragma once
 
 #include <atomic>
@@ -121,6 +128,9 @@ class BasicLamportFast2Lock {
           continue;  // goto start
         }
       }
+      if constexpr (R == kResilient) {
+        owner_.store(me, std::memory_order_relaxed);
+      }
       return;
     }
   }
@@ -129,9 +139,10 @@ class BasicLamportFast2Lock {
     const std::uint32_t pid = platform::self_pid() % capacity_;
     if constexpr (R == kResilient) {
       if (misuse_checks_enabled() &&
-          y_.load(std::memory_order_seq_cst) != pid + 1) {
-        return false;  // the Figure 13 fix (comparison as in Figure 12)
+          owner_.load(std::memory_order_relaxed) != pid + 1) {
+        return false;  // the Figure 13 fix, on the owner word (above)
       }
+      owner_.store(0, std::memory_order_relaxed);
     }
     y_.store(0, std::memory_order_seq_cst);
     b_[pid].value.store(false, std::memory_order_seq_cst);
@@ -144,6 +155,8 @@ class BasicLamportFast2Lock {
   const std::uint32_t capacity_;
   std::atomic<std::uint32_t> x_{0};
   std::atomic<std::uint32_t> y_{0};
+  // Resilient flavor only: id + 1 of the thread in the critical section.
+  std::atomic<std::uint32_t> owner_{0};
   std::unique_ptr<platform::CacheLineAligned<std::atomic<bool>>[]> b_;
 };
 

@@ -143,15 +143,6 @@ class ShieldPolicyGuard {
 
 // Diagnostic line for kAbort / kLogAndSuppress. stderr + fprintf (not a
 // logging framework) so it works inside interposed pthread programs.
-inline void report_misuse(MisuseKind kind, const void* lock) {
-  std::fprintf(stderr,
-               "resilock[shield]: %s on lock %p by thread pid %u\n",
-               to_string(kind), lock,
-               static_cast<unsigned>(platform::self_pid()));
-}
-
-// Same line for the event kinds with no MisuseKind value (the rw
-// misuses RwShield intercepts).
 inline void report_misuse(response::ResponseEvent kind, const void* lock) {
   std::fprintf(stderr,
                "resilock[shield]: %s on lock %p by thread pid %u\n",

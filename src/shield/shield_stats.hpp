@@ -1,19 +1,21 @@
-// Per-shield misuse counters, in the stats_lock snapshot idiom.
+// Per-shield verdict counters, shared by Shield<L> and RwShield<L>.
 //
 // A production shield is as much a telemetry source as a guard: knowing
 // *that* misuse happens (and which kind, and how often) is what turns a
 // suppressed bug into a fixed one (paper §7's feedback-to-programmer
-// discussion). Unlike StatsLock (an opt-in wrapper), a shield fronts
-// EVERY interposed mutex — PARSEC-style apps allocate millions — so the
-// counters pack into two cache lines per instance instead of one line
-// per counter: threads bumping them are already bouncing the lock's own
-// line, so per-counter isolation buys nothing here.
+// discussion). A shield fronts EVERY interposed mutex — PARSEC-style
+// apps allocate millions — so the counters pack into two cache lines
+// per instance instead of one line per counter: threads bumping them
+// are already bouncing the lock's own line, so per-counter isolation
+// buys nothing here.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 #include "platform/cacheline.hpp"
+#include "response/response.hpp"
 #include "shield/policy.hpp"
 
 namespace resilock::shield {
@@ -38,37 +40,29 @@ struct ShieldSnapshot {
 };
 
 class ShieldCounters {
+ public:
   enum Slot : std::size_t {
-    kAcquisitions = 0,
-    kReleases = 1,
+    kAcquisitions = 0,  // exclusive / write-side base grants
+    kReleases = 1,      // exclusive / write-side releases (incl. absorbed)
     kAbsorbed = 2,
     kSuppressed = 3,
     kPassedThrough = 4,
-    kMisuseBase = 5,  // + MisuseKind, 4 slots
-    kSlots = kMisuseBase + kMisuseKinds,
+    kMisuseBase = 5,  // + response::ResponseEvent
+    kSlots = kMisuseBase + response::kResponseEvents,
   };
 
- public:
-  void bump_acquisition() { bump(kAcquisitions); }
-  void bump_release() { bump(kReleases); }
-  void bump_absorbed() { bump(kAbsorbed); }
-  void bump_suppressed() { bump(kSuppressed); }
-  void bump_passed_through() { bump(kPassedThrough); }
-  void bump_misuse(MisuseKind k) {
-    bump(kMisuseBase + static_cast<std::size_t>(k));
+  void bump(Slot slot) { slots_[slot].fetch_add(1, std::memory_order_relaxed); }
+  void bump_misuse(response::ResponseEvent e) {
+    slots_[kMisuseBase + static_cast<std::size_t>(e)].fetch_add(
+        1, std::memory_order_relaxed);
   }
 
-  ShieldSnapshot snapshot() const {
-    ShieldSnapshot s;
-    s.acquisitions = read(kAcquisitions);
-    s.releases = read(kReleases);
-    s.reentrant_absorbed = read(kAbsorbed);
-    s.suppressed = read(kSuppressed);
-    s.passed_through = read(kPassedThrough);
-    for (std::size_t i = 0; i < kMisuseKinds; ++i) {
-      s.misuse[i] = read(kMisuseBase + i);
-    }
-    return s;
+  std::uint64_t read(Slot slot) const {
+    return slots_[slot].load(std::memory_order_relaxed);
+  }
+  // Misuse tally indexed by response::ResponseEvent value.
+  std::uint64_t misuse(std::size_t event) const {
+    return slots_[kMisuseBase + event].load(std::memory_order_relaxed);
   }
 
   void reset() {
@@ -76,14 +70,7 @@ class ShieldCounters {
   }
 
  private:
-  void bump(std::size_t slot) {
-    slots_[slot].fetch_add(1, std::memory_order_relaxed);
-  }
-  std::uint64_t read(std::size_t slot) const {
-    return slots_[slot].load(std::memory_order_relaxed);
-  }
-
-  // One aligned block (9 words, 2 cache lines), isolated from whatever
+  // One aligned block (14 words, 2 cache lines), isolated from whatever
   // the shield places next to it.
   alignas(platform::kCacheLineSize) std::atomic<std::uint64_t>
       slots_[kSlots] = {};

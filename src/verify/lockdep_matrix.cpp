@@ -166,13 +166,20 @@ LockdepScenarioReport run_row(const std::string& name) {
     run_wedge<TL>(
         [](shield::Shield<TL>& a, shield::Shield<TL>& b) {
           // Sweep now_serving over every issued ticket so any wedged
-          // waiter observes its own value (equality spin).
+          // waiter observes its own value (equality spin). The locks
+          // are fresh, so tickets start at 0; each sweep starts there
+          // rather than at the current value, because a waiter that
+          // missed its value (descheduled, or yielding in its spin)
+          // is left behind a serving word that only moves forward.
+          // Each value dwells until a holder's release moves the word
+          // or a short window passes.
           for (auto* l : {&a.base(), &b.base()}) {
             const auto next = VerifyAccess::ticket_next(*l);
-            for (std::uint64_t s = VerifyAccess::ticket_serving(*l);
-                 s <= next; ++s) {
+            for (std::uint64_t s = 0; s <= next; ++s) {
               VerifyAccess::ticket_force_serving(*l, s);
-              std::this_thread::yield();
+              wait_for(
+                  [&] { return VerifyAccess::ticket_serving(*l) != s; },
+                  milliseconds(1));
             }
           }
         },

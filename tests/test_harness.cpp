@@ -87,7 +87,11 @@ TEST(RunApp, AllTableTwoLocksRunTinyProfile) {
 }
 
 TEST(OverheadCell, ComputesFiniteOverhead) {
-  const auto cell = rh::overhead_cell(tiny(), "TAS", 2, 1);
+  // Best of 9 interleaved reps, as overhead_cell is meant to be used:
+  // a sub-millisecond TAS run whose holder is preempted can skew the
+  // ratio by two orders of magnitude, and on a loaded machine (the
+  // suite runs its binaries in parallel) a few reps in a row may be.
+  const auto cell = rh::overhead_cell(tiny(), "TAS", 2, 9);
   ASSERT_TRUE(cell.has_value());
   EXPECT_GT(*cell, -95.0);  // sanity: not nonsense
   EXPECT_LT(*cell, 2000.0);

@@ -195,15 +195,22 @@ TEST(ParkWord, ParkedWaiterWokenByHandoff) {
   ParkingGuard park(true);
   ParkSpinsGuard spins(4);
   const std::uint64_t parks0 = stats().parks;
-  std::atomic<std::uint32_t> word{kWordWaiting};
-  ParkBay bay;
-  std::thread t([&] { EXPECT_EQ(wait_word(word, &bay), kWordGranted); });
-  ASSERT_TRUE(rv::wait_for([&] { return bay.parked_count() >= 1; },
-                           rv::milliseconds{2000}));
-  wake_word(word);
-  t.join();
+  // A waiter already counted in parked_count() may still see the
+  // hand-off before it sleeps, and then no park happened: repeat until
+  // one really slept.
+  for (int attempt = 0; attempt < 20 && stats().parks == parks0;
+       ++attempt) {
+    std::atomic<std::uint32_t> word{kWordWaiting};
+    ParkBay bay;
+    std::thread t([&] { EXPECT_EQ(wait_word(word, &bay), kWordGranted); });
+    ASSERT_TRUE(rv::wait_for([&] { return bay.parked_count() >= 1; },
+                             rv::milliseconds{2000}));
+    std::this_thread::sleep_for(rv::milliseconds{5});
+    wake_word(word);
+    t.join();
+    EXPECT_EQ(bay.parked_count(), 0u);
+  }
   EXPECT_GE(stats().parks, parks0 + 1);
-  EXPECT_EQ(bay.parked_count(), 0u);
 }
 
 TEST(ParkWord, ParkingDisabledStaysOnSpinPath) {
@@ -602,17 +609,26 @@ TEST(ParkObserve, LockstatCountsParksPerClass) {
   observe::LockstatGuard lockstat(true);
   observe::LockStat::instance().reset();
   Shield<McsLockResilient> lock(shield::ShieldPolicy::kSuppress);
-  Shield<McsLockResilient>::Context owner_ctx;
-  generic_acquire(lock, owner_ctx);
-  std::thread waiter([&] {
-    Shield<McsLockResilient>::Context c;
-    generic_acquire(lock, c);
-    EXPECT_TRUE(generic_release(lock, c));
-  });
-  ASSERT_TRUE(rv::wait_for([&] { return lock.base().parked_waiters() >= 1; },
-                           rv::milliseconds{2000}));
-  EXPECT_TRUE(generic_release(lock, owner_ctx));
-  waiter.join();
+  const std::uint64_t parks0 = stats().parks;
+  // A waiter already counted in parked_waiters() may still see the
+  // release before it sleeps, and then no park happened: repeat until
+  // one really slept.
+  for (int attempt = 0; attempt < 20 && stats().parks == parks0;
+       ++attempt) {
+    Shield<McsLockResilient>::Context owner_ctx;
+    generic_acquire(lock, owner_ctx);
+    std::thread waiter([&] {
+      Shield<McsLockResilient>::Context c;
+      generic_acquire(lock, c);
+      EXPECT_TRUE(generic_release(lock, c));
+    });
+    ASSERT_TRUE(
+        rv::wait_for([&] { return lock.base().parked_waiters() >= 1; },
+                     rv::milliseconds{2000}));
+    std::this_thread::sleep_for(rv::milliseconds{5});
+    EXPECT_TRUE(generic_release(lock, owner_ctx));
+    waiter.join();
+  }
   bool found = false;
   for (const auto& r : observe::LockStat::instance().report()) {
     if (r.parks > 0) {

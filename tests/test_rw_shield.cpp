@@ -7,7 +7,10 @@
 //   * the response engine's rw event routing (adaptive preset, rw
 //     tokens, reader-count contention signal);
 //   * the pthread_rwlock-shaped shim (single mode-aware unlock);
-//   * the verify-layer rw matrix across the C-RW configurations.
+//   * the verify-layer rw matrix across the C-RW configurations;
+//   * the pipeline both shields share (shield/shield_core.hpp): parked
+//     waiters credited to their lockstat class, one rescue-wake rule,
+//     and the per-instance size budget.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,10 +18,13 @@
 #include <thread>
 
 #include "core/cohort.hpp"
+#include "core/mcs.hpp"
 #include "core/rw/crw.hpp"
 #include "core/ticket.hpp"
 #include "interpose/pthread_shim.hpp"
 #include "lockdep/lockdep.hpp"
+#include "observe/lockstat.hpp"
+#include "park/parking_lot.hpp"
 #include "response/response.hpp"
 #include "runtime/thread_team.hpp"
 #include "shield/rw_shield.hpp"
@@ -486,6 +492,90 @@ TEST_F(RwShieldTest, RwShimReadersOverlapWritersExclude) {
   EXPECT_EQ(data, 400u);
   EXPECT_EQ(wchk.max_simultaneous(), 1);
   EXPECT_EQ(rl_rwlock_destroy(&rw), 0);
+}
+
+// ---------------------------------------------------------------------
+// The shared shield pipeline.
+// ---------------------------------------------------------------------
+
+namespace {
+
+// A reader parked behind a write hold must show up as a park in the
+// rw lock's own lockstat class, like a parked mutex waiter does.
+template <typename Rw>
+void expect_parked_reader_credited() {
+  park::ParkingGuard parking(true);
+  park::ParkSpinsGuard spins(4);
+  observe::LockstatGuard lockstat(true);
+  observe::LockStat::instance().reset();
+  RwShield<Rw> rw;
+  const auto slept = [] {
+    return park::ParkStats::instance().snapshot().parks;
+  };
+  const std::uint64_t before = slept();
+  // A reader already counted in parked_waiters() may still see the
+  // wunlock's epoch bump before it sleeps, and then no park happened:
+  // repeat until one really slept.
+  for (int attempt = 0; attempt < 20 && slept() == before; ++attempt) {
+    typename Rw::Context writer;
+    rw.wlock(writer);
+    std::thread reader([&] {
+      typename Rw::Context c;
+      rw.rlock(c);
+      EXPECT_TRUE(rw.runlock(c));
+    });
+    ASSERT_TRUE(rv::wait_for([&] { return rw.base().parked_waiters() >= 1; },
+                             rv::milliseconds{2000}));
+    std::this_thread::sleep_for(rv::milliseconds{5});
+    EXPECT_TRUE(rw.wunlock(writer));
+    reader.join();
+  }
+  const std::uint64_t parks = slept() - before;
+  ASSERT_GE(parks, 1u);
+  std::uint64_t credited = 0;
+  for (const auto& r : observe::LockStat::instance().report()) {
+    if (r.cls == rw.lockdep_class()) credited += r.parks;
+  }
+  EXPECT_EQ(credited, parks);
+  observe::LockStat::instance().reset();
+}
+
+}  // namespace
+
+TEST_F(RwShieldTest, ParkedReaderCreditedToLockstatClass) {
+  expect_parked_reader_credited<CrwRpLockResilient>();
+  expect_parked_reader_credited<CrwWpLockResilient>();
+}
+
+TEST_F(RwShieldTest, AbsorbedRecursiveAcquireWakesNobody) {
+  // A recursive read (legal for pthread rwlocks) or write keeps the
+  // hold intact: nobody is orphaned, so no rescue broadcast.
+  RwShield<CrwRpLockResilient> rw;
+  CrwRpLockResilient::Context c;
+  const auto wakes = [] {
+    return park::ParkStats::instance().snapshot().misuse_wakes;
+  };
+  const std::uint64_t before = wakes();
+  rw.rlock(c);
+  rw.rlock(c);
+  EXPECT_EQ(rw.snapshot().absorbed, 1u);
+  EXPECT_EQ(wakes(), before);
+  EXPECT_TRUE(rw.runlock(c));
+  EXPECT_TRUE(rw.runlock(c));
+  rw.wlock(c);
+  rw.wlock(c);
+  EXPECT_EQ(rw.snapshot().absorbed, 2u);
+  EXPECT_EQ(wakes(), before);
+  EXPECT_TRUE(rw.wunlock(c));
+  EXPECT_TRUE(rw.wunlock(c));
+}
+
+TEST(ShieldSize, MergedPipelineGrowsNoShield) {
+  // The preload puts a shield in front of every adopted mutex and
+  // rwlock; these are the sizes before the two shields shared a core.
+  static_assert(sizeof(Shield<McsLockResilient>) <= 256);
+  static_assert(sizeof(RwShield<CrwNpLockResilient>) <= 1280);
+  SUCCEED();
 }
 
 // ---------------------------------------------------------------------

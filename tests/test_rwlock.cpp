@@ -114,7 +114,14 @@ TYPED_TEST(IndicatorTest, IngressEgressChurnUnderConcurrentObserver) {
         if ((i & 7) == 0) std::this_thread::yield();
         ind.depart(pid);
       }
-      if (tid == 1) stop.store(true, std::memory_order_release);
+      // The observer may not have been scheduled yet: stop it only
+      // after it has polled at least once.
+      if (tid == 1) {
+        while (polls.load(std::memory_order_relaxed) == 0) {
+          std::this_thread::yield();
+        }
+        stop.store(true, std::memory_order_release);
+      }
     }
   });
   EXPECT_GT(polls.load(), 0u);

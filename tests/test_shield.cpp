@@ -16,7 +16,6 @@
 
 #include "core/lock_registry.hpp"
 #include "core/mcs.hpp"
-#include "core/stats_lock.hpp"
 #include "core/tas.hpp"
 #include "core/ticket.hpp"
 #include "lock_test_util.hpp"
@@ -457,15 +456,6 @@ TEST(Shield, AbsorbedRelockReleasesBaseWithAcquiringContext) {
   EXPECT_EQ(s.held_depth(), 0u);
   s.acquire(c2);  // still functional with either context
   EXPECT_TRUE(s.release(c2));
-}
-
-TEST(Shield, ComposesWithStatsLock) {
-  // Wrappers stack: stats outside, shield inside, protocol at the core.
-  StatsLock<Shield<TicketLock>> s;
-  s.acquire();
-  EXPECT_TRUE(s.release());
-  EXPECT_FALSE(s.release());  // shield refuses; stats counts a misuse
-  EXPECT_EQ(s.snapshot().detected_misuses, 1u);
 }
 
 TEST(Shield, TrylockSemantics) {
