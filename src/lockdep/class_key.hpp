@@ -28,11 +28,11 @@
 // under the key are gone.
 //
 // Tradeoff, by design: a shared class cannot be validated per instance
-// (the graph's instance/owner mirrors identify classes, not locks), so
-// the §5 stale-entry purge in on_acquire_attempt only checks that the
-// key is still registered. Nesting two locks of the SAME key records
-// no edge (from == to is skipped): intra-container nesting order is
-// the container's own invariant, not lockdep's.
+// (the graph's instance and hand-off epoch identify classes, not
+// locks), so the §5 stale-entry purge in on_acquire_attempt only
+// checks that the key is still registered. Nesting two locks of the
+// SAME key records no edge (from == to is skipped): intra-container
+// nesting order is the container's own invariant, not lockdep's.
 #pragma once
 
 #include "lockdep/lockdep.hpp"

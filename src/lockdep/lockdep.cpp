@@ -329,7 +329,6 @@ void Graph::retire_class(ClassId id) {
   }
   s->instance.store(nullptr, std::memory_order_release);
   s->label.store(nullptr, std::memory_order_release);
-  s->owner_pid.store(0, std::memory_order_relaxed);
   // Clear this class's column — O(in-degree) via the in-edge list the
   // claims maintained, not a sweep of the whole table — and detach its
   // row. Under an epoch pin: the rows we touch may be retired

@@ -41,7 +41,13 @@
 //     stitch a dead class's stale in-edge to a recycled id's fresh
 //     out-edges, and retirement never blocks on other threads;
 //   * a per-thread acquisition stack (AcqStack) recording the held set
-//     in acquisition order, fed by Shield<L> hooks;
+//     in acquisition order, fed by Shield<L> hooks. An entry can go
+//     stale without its thread releasing (a §5 hand-off, a forwarded
+//     non-owner release, a destroyed lock); it is validated against
+//     the class table — the slot's generation and instance, and for a
+//     shield's own class its hand-off epoch — before it sources an
+//     edge. The hot path writes nothing to the shared table: the epoch
+//     moves only on those misuse and hand-off paths;
 //   * verdicts wired to RESILOCK_LOCKDEP=report|abort|off (default
 //     report), runtime-settable like the shield policy.
 //
@@ -230,8 +236,8 @@ class Graph {
   // Allocates a class id shared by MANY lock instances (Linux-style
   // static class keys, see class_key.hpp). `key` is registered as the
   // class's instance so reports can name it; the shared bit tells the
-  // acquisition-stack validation that neither the instance mirror nor
-  // the owner mirror can identify individual locks of this class.
+  // acquisition-stack validation that neither the instance nor the
+  // hand-off epoch can identify individual locks of this class.
   ClassId register_shared_class(const void* key, const char* label);
 
   // Logically retires the class: bumps the slot's generation (so the
@@ -357,22 +363,27 @@ class Graph {
                         : nullptr;
   }
 
-  // Graph-side owner mirror, maintained by the Shield hooks: pid+1 of
-  // the thread that holds the class's lock, 0 when free. Lives in the
-  // graph's own table (not in the lock) so a thread can validate a
-  // possibly-stale acquisition-stack entry WITHOUT dereferencing a
-  // lock object that may have been destroyed since.
-  std::uint32_t owner_of(ClassId id) const {
+  // Hand-off epoch of a per-instance class. The shield bumps it when a
+  // release is about to end the lock's current hold behind its owner's
+  // back (the §5 escape hatch, a forwarded non-owner release); every
+  // acquisition-stack entry of the class records it when pushed, so a
+  // moved epoch marks the entry stale. It lives in the graph's own
+  // table, not in the lock, so a thread can validate a possibly-stale
+  // entry WITHOUT dereferencing a lock object that may have been
+  // destroyed since — and since it moves only on those paths, a
+  // correct program's acquires and releases only ever read it. Relaxed
+  // is enough: the bump precedes the base release that lets the next
+  // holder in, and that hand-off orders it before the next push.
+  std::uint32_t handoff_epoch(ClassId id) const {
     const ClassSlot* s = slot_checked(id);
-    return s != nullptr ? s->owner_pid.load(std::memory_order_relaxed)
+    return s != nullptr ? s->handoff_epoch.load(std::memory_order_relaxed)
                         : 0;
   }
-  void note_owner(ClassId id, std::uint32_t tag) {
+  void bump_handoff_epoch(ClassId id) {
     if (ClassSlot* s = slot_checked(id)) {
-      s->owner_pid.store(tag, std::memory_order_relaxed);
+      s->handoff_epoch.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  void clear_owner(ClassId id) { note_owner(id, 0); }
 
   // ------------------------------------------------------------------
   // Epoch reclamation (reader side is public: the hooks, the trace
@@ -461,7 +472,7 @@ class Graph {
   struct ClassSlot {
     std::atomic<const char*> label{nullptr};
     std::atomic<const void*> instance{nullptr};
-    std::atomic<std::uint32_t> owner_pid{0};
+    std::atomic<std::uint32_t> handoff_epoch{0};
     // bit 0 live, bit 1 shared, bit 2 flagged; bits 8..15 generation.
     std::atomic<std::uint32_t> meta{0};
     std::atomic<Row*> row{nullptr};
@@ -641,6 +652,8 @@ class AcqStack {
   struct Entry {
     const void* lock = nullptr;
     ClassId cls = kInvalidClass;
+    // The class's hand-off epoch at push (per-instance classes only).
+    std::uint32_t epoch = 0;
     AccessMode mode = AccessMode::kExclusive;
   };
 
@@ -650,13 +663,14 @@ class AcqStack {
   }
 
   bool push(const void* lock, ClassId cls,
-            AccessMode mode = AccessMode::kExclusive) {
+            AccessMode mode = AccessMode::kExclusive,
+            std::uint32_t epoch = 0) {
     if (n_ == kMaxDepth) {
       Graph::instance().stack_overflow_.fetch_add(
           1, std::memory_order_relaxed);
       return false;
     }
-    e_[n_++] = Entry{lock, cls, mode};
+    e_[n_++] = Entry{lock, cls, epoch, mode};
     return true;
   }
 
@@ -720,32 +734,34 @@ inline void on_acquire_attempt(const void* lock, ClassId cls,
   AcqStack& st = AcqStack::mine();
   if (st.depth() == 0) return;  // single-lock hot path: no edges
   Graph& g = Graph::instance();
-  // One pin for the whole held-set walk: every mirror probe and edge
+  // One pin for the whole held-set walk: every validity probe and edge
   // claim below reads epoch-protected table state, and the nested pins
   // inside ensure_edge collapse to thread-local depth bumps.
   Graph::EpochPin pin(g);
-  const std::uint32_t me = platform::self_pid() + 1;
   for (std::size_t i = 0; i < st.depth();) {
     const AcqStack::Entry held = st.begin()[i];
     const bool shared = g.is_shared(held.cls);
     // A per-instance held entry sources an edge only while the graph
-    // still maps its class to this lock AND this thread is still the
-    // owner. A §5 hand-off (cross-thread release with checks disabled)
-    // or a destroyed lock leaves a stale entry that would otherwise
-    // record orders this thread never held across — purge it lazily
-    // instead. Both probes read the graph's own table, never the
-    // (possibly freed) lock object; a recycled slot fails the id's
-    // generation check and purges the same way.
+    // still maps its class to this lock AND no release has ended the
+    // hold behind this thread's back since the push (the hand-off epoch
+    // is unchanged). A §5 hand-off (cross-thread release with checks
+    // disabled), a forwarded non-owner release or a destroyed lock
+    // leaves a stale entry that would otherwise record orders this
+    // thread never held across — purge it lazily instead. Every probe
+    // reads the graph's own table, never the (possibly freed) lock
+    // object; a recycled slot fails the id's generation check and
+    // purges the same way.
     //
     // A SHARED (keyed) class maps many instances to one id, so neither
-    // mirror can identify this entry; the only check left is that the
-    // key itself is still registered. Stale keyed entries are instead
-    // bounded by release() removing them by lock pointer. Read/write
-    // holds of rw shields are shared-class by construction (many
-    // concurrent readers), so they take this branch too.
+    // the instance nor the epoch can identify this entry; the only
+    // check left is that the key itself is still registered. Stale
+    // keyed entries are instead bounded by release() removing them by
+    // lock pointer. Read/write holds of rw shields are shared-class by
+    // construction (many concurrent readers), so they take this branch
+    // too.
     if (shared ? g.instance_of(held.cls) == nullptr
                : (g.instance_of(held.cls) != held.lock ||
-                  g.owner_of(held.cls) != me)) {
+                  g.handoff_epoch(held.cls) != held.epoch)) {
       st.remove_at(i);
       continue;
     }
@@ -778,15 +794,18 @@ inline void on_acquire_attempt(const void* lock, ClassId cls,
 // against double-pushing a pass-through relock; callers that KNOW the
 // acquisition is fresh (their held-table probe just said "not held")
 // pass false and skip the scan — the rw read fast path cares.
+// `own_class`: `cls` is the lock's own per-instance class, whose
+// hand-off epoch the entry records (Graph::handoff_epoch).
 inline void on_acquired(const void* lock, ClassId cls,
                         AccessMode mode = AccessMode::kExclusive,
-                        bool check_contains = true) {
+                        bool check_contains = true, bool own_class = false) {
   if (!class_tracked(cls)) return;
   AcqStack& st = AcqStack::mine();
   if (check_contains && st.contains(lock)) {
     return;  // pass-through relock: held set, not depth
   }
-  st.push(lock, cls, mode);
+  st.push(lock, cls, mode,
+          own_class ? Graph::instance().handoff_epoch(cls) : 0);
 }
 
 // After the base protocol was released (or the entry went stale through

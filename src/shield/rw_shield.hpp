@@ -36,8 +36,9 @@
 // reader estimate. Lockdep sees read acquisitions as AccessMode::kRead
 // and write acquisitions as kWrite, so R–R dependencies are edge-free
 // and only write-involved orders can flag inversions. The lockdep class
-// is registered SHARED (one class, many concurrent reader "owners"):
-// the graph's single-owner mirror cannot describe a read-held lock.
+// is registered SHARED (one class, many concurrent reader "owners"): a
+// per-class hand-off epoch, which marks the end of one owner's hold,
+// cannot describe a read-held lock, so rw stack entries carry none.
 //
 // The §5 escape hatch is honored: with misuse_checks_enabled() == false
 // every call forwards verbatim (local table entries are drained on the
@@ -85,8 +86,10 @@ template <typename Base>
 class RwShield : public ShieldCore<Base, typename Base::Context> {
   using Core = ShieldCore<Base, typename Base::Context>;
   using Core::base_;
+  using Core::acquisitions_;
   using Core::counters_;
   using Core::owner_;
+  using Core::releases_;
   using Event = response::ResponseEvent;
 
  public:
@@ -139,7 +142,7 @@ class RwShield : public ShieldCore<Base, typename Base::Context> {
     const int remaining =
         tbl.note_released_in_mode(this, AccessMode::kRead);
     if (remaining >= 0) {
-      ReadStripe::bump(read_stripe(tbl).releases);
+      read_stripe(tbl).releases.bump();
       if (remaining > 0) {
         // Matching release of an absorbed recursion — unless the §5
         // escape hatch is open, in which case every call forwards to
@@ -171,7 +174,7 @@ class RwShield : public ShieldCore<Base, typename Base::Context> {
     const int remaining =
         tbl.note_released_in_mode(this, AccessMode::kWrite);
     if (remaining >= 0) {
-      counters_.bump(ShieldCounters::kReleases);
+      releases_.bump();
       if (remaining > 0) {
         // Matching release of an absorbed relock — unless the §5
         // escape hatch is open (forward every call verbatim).
@@ -226,11 +229,11 @@ class RwShield : public ShieldCore<Base, typename Base::Context> {
   RwShieldSnapshot snapshot() const {
     RwShieldSnapshot s;
     for (const auto& stripe : read_) {
-      s.read_acquisitions += stripe.acqs.load(std::memory_order_relaxed);
-      s.read_releases += stripe.releases.load(std::memory_order_relaxed);
+      s.read_acquisitions += stripe.acqs.read();
+      s.read_releases += stripe.releases.read();
     }
-    s.write_acquisitions = counters_.read(ShieldCounters::kAcquisitions);
-    s.write_releases = counters_.read(ShieldCounters::kReleases);
+    s.write_acquisitions = acquisitions_.read();
+    s.write_releases = releases_.read();
     s.absorbed = counters_.read(ShieldCounters::kAbsorbed);
     s.suppressed = counters_.read(ShieldCounters::kSuppressed);
     s.passed_through = counters_.read(ShieldCounters::kPassedThrough);
@@ -273,7 +276,7 @@ class RwShield : public ShieldCore<Base, typename Base::Context> {
       }
     });
     if constexpr (M == AccessMode::kRead) {
-      ReadStripe::bump(read_stripe(tbl).acqs);
+      read_stripe(tbl).acqs.bump();
     }
   }
 
@@ -291,7 +294,7 @@ class RwShield : public ShieldCore<Base, typename Base::Context> {
     if (!granted) return this->trylock_failed();
     this->note_acquired(tbl, M, ctx, fresh, site);
     if constexpr (M == AccessMode::kRead) {
-      ReadStripe::bump(read_stripe(tbl).acqs);
+      read_stripe(tbl).acqs.bump();
     }
     return true;
   }
@@ -299,21 +302,17 @@ class RwShield : public ShieldCore<Base, typename Base::Context> {
   // The read-side tallies are the only per-op counters on a path that
   // can be nearly free (reader-pref rlock is two RMWs); a single shared
   // counter would double the bounced lines and blow the 2x budget, so
-  // they stripe by thread and bump with a plain load+store instead of
-  // a fetch_add — an atomic RMW costs more than the whole bare read
-  // acquisition on some hosts. A stripe collision can therefore lose
-  // the odd increment; these are telemetry-grade tallies (the misuse
-  // counters, which protection decisions read, stay exact RMWs).
+  // they stripe by thread and bump with a plain load+store (Tally)
+  // instead of a fetch_add — an atomic RMW costs more than the whole
+  // bare read acquisition on some hosts. Nothing orders concurrent
+  // readers, so a stripe collision can lose the odd increment; these
+  // are telemetry-grade tallies (the misuse counters, which protection
+  // decisions read, stay exact RMWs).
   static constexpr std::size_t kStripes = 8;
 
   struct alignas(platform::kCacheLineSize) ReadStripe {
-    std::atomic<std::uint64_t> acqs{0};
-    std::atomic<std::uint64_t> releases{0};
-
-    static void bump(std::atomic<std::uint64_t>& c) {
-      c.store(c.load(std::memory_order_relaxed) + 1,
-              std::memory_order_relaxed);
-    }
+    Tally acqs;
+    Tally releases;
   };
 
   // Stripe selection hashes the calling thread's (already fetched)

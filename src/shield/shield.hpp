@@ -58,8 +58,10 @@ template <typename Base>
 class Shield : public ShieldCore<Base> {
   using Core = ShieldCore<Base>;
   using Core::base_;
+  using Core::acquisitions_;
   using Core::counters_;
   using Core::owner_;
+  using Core::releases_;
 
  public:
   using Context = typename Core::Context;
@@ -134,7 +136,7 @@ class Shield : public ShieldCore<Base> {
       remaining = HeldLockTable::kNotHeld;
     }
     if (remaining >= 0) {
-      counters_.bump(ShieldCounters::kReleases);
+      releases_.bump();
       if (remaining > 0) return true;  // matching release of a relock
       return generic_release(
           base_, this->note_released(AccessMode::kExclusive, ctx));
@@ -174,8 +176,8 @@ class Shield : public ShieldCore<Base> {
 
   ShieldSnapshot snapshot() const {
     ShieldSnapshot s;
-    s.acquisitions = counters_.read(ShieldCounters::kAcquisitions);
-    s.releases = counters_.read(ShieldCounters::kReleases);
+    s.acquisitions = acquisitions_.read();
+    s.releases = releases_.read();
     s.reentrant_absorbed = counters_.read(ShieldCounters::kAbsorbed);
     s.suppressed = counters_.read(ShieldCounters::kSuppressed);
     s.passed_through = counters_.read(ShieldCounters::kPassedThrough);
@@ -184,7 +186,11 @@ class Shield : public ShieldCore<Base> {
     }
     return s;
   }
-  void reset_stats() { counters_.reset(); }
+  void reset_stats() {
+    acquisitions_.reset();
+    releases_.reset();
+    counters_.reset();
+  }
 
  private:
   // False only when the thread's table holds this lock and the owner

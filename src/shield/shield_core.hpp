@@ -23,6 +23,17 @@
 // re-check. An absorbed acquire-side misuse keeps the hold intact and
 // wakes nobody.
 //
+// Layout: a lock hand-off costs the new holder the base's own lines
+// plus at most ONE more, the holder line right after base_: owner tags,
+// the context the base was acquired with, the lockdep class and its
+// key, and the acquisition / release tallies (plain stores, ordered by
+// the base). A base that claims whole cache lines (alignas) gets a
+// fresh line for it; a word-sized base (TAS) shares it, since its
+// holder writes that word anyway. Everything any other thread writes —
+// the waiter gauge that arriving threads bump, the policy, the verdict
+// and misuse counters — sits on the cold line(s) after it, so waiters
+// and a correct program's holders never write the same line.
+//
 // A base with a ReadIndicator (the C-RW family, core/rw/crw.hpp) makes
 // this a read/write core: its trace events carry the hold mode and the
 // indicator's reader estimate, and live readers count toward the
@@ -33,6 +44,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <type_traits>
@@ -46,6 +58,7 @@
 #include "lockdep/lockdep.hpp"
 #include "observe/lockstat.hpp"
 #include "park/parking_lot.hpp"
+#include "platform/cacheline.hpp"
 #include "platform/thread_registry.hpp"
 #include "response/response.hpp"
 #include "runtime/timer.hpp"
@@ -143,17 +156,22 @@ class ShieldCore {
  protected:
   using Event = response::ResponseEvent;
   static constexpr std::uint32_t kNoOwner = 0;
+  // Where the holder line starts (see the layout note at the top).
+  static constexpr std::size_t kHolderAlign =
+      alignof(Base) >= platform::kCacheLineSize
+          ? platform::kCacheLineSize
+          : alignof(std::atomic<std::uint32_t>);
   static constexpr bool kReadWrite =
       requires(const Base& b) { b.indicator().approx_readers(); };
 
   template <typename... Args>
   explicit ShieldCore(const ShieldSetup& setup, Args&&... args)
       : base_(std::forward<Args>(args)...),
-        policy_(setup.policy.value_or(default_shield_policy())),
-        policy_explicit_(setup.policy.has_value()),
         class_mode_(setup.classes),
         lockdep_key_(setup.key),
-        lockdep_label_(setup.label) {}
+        lockdep_label_(setup.label),
+        policy_(setup.policy.value_or(default_shield_policy())),
+        policy_explicit_(setup.policy.has_value()) {}
 
   ~ShieldCore() {
     // A keyed class belongs to the key (other instances may still use
@@ -218,22 +236,19 @@ class ShieldCore {
                      bool fresh, const void* site) {
     if (lockdep::lockdep_enabled()) {
       // `fresh` skips the duplicate-entry scan: the table just said
-      // "not held", so the stack cannot hold us either. The graph-side
-      // owner mirror lets other code validate a stack entry without
-      // touching this object; shared and keyed classes have no usable
-      // mirror.
-      const lockdep::ClassId cls = ensure_class();
-      lockdep::on_acquired(this, cls, mode, !fresh);
-      if (class_mode_ == ClassMode::kInstance) {
-        lockdep::Graph::instance().note_owner(cls, me());
-      }
+      // "not held", so the stack cannot hold us either. An own class
+      // stamps the entry with its hand-off epoch, so a hold that ends
+      // behind this thread's back (end_foreign_hold) retires it;
+      // shared and keyed classes name no single hold.
+      lockdep::on_acquired(this, ensure_class(), mode, !fresh,
+                           class_mode_ == ClassMode::kInstance);
     }
     if (mode != AccessMode::kRead) {
       owner_.store(me(), std::memory_order_relaxed);
       // Throwaway NoContexts of plain locks are never retained; a real
       // base context is what the release must hand back.
       if constexpr (!std::is_same_v<Context, NoContext>) active_ctx_ = &ctx;
-      counters_.bump(ShieldCounters::kAcquisitions);
+      acquisitions_.bump();
     }
     if (fresh) {
       tbl.note_acquired(this, mode);
@@ -262,7 +277,6 @@ class ShieldCore {
     if (observe::lockstat_enabled()) observe::on_released(this);
     lockdep::on_released(this);
     if (mode == AccessMode::kRead) return ctx;
-    clear_owner_mirror();
     last_owner_.store(me(), std::memory_order_relaxed);
     owner_.store(kNoOwner, std::memory_order_relaxed);
     if constexpr (std::is_same_v<Context, NoContext>) {
@@ -275,11 +289,11 @@ class ShieldCore {
 
   // §5 escape hatch on the release side: a cross-thread release with
   // checks disabled. Clearing the owner tag lets the acquirer's stale
-  // table entry self-heal; clearing the graph-side mirror invalidates
-  // its stale lockdep stack entry.
+  // table entry self-heal; end_foreign_hold retires its lockdep stack
+  // entry.
   void forget_owner() {
     owner_.store(kNoOwner, std::memory_order_relaxed);
-    clear_owner_mirror();
+    end_foreign_hold();
   }
 
   // Kind of a release by a thread that does not hold the lock, from the
@@ -303,32 +317,46 @@ class ShieldCore {
   // forwards to the base, misbehavior and all. `mode` is the caller's
   // hold mode, or the side of the misbehaving operation when it holds
   // nothing.
+  //
+  // A forwarded release ends whatever hold the base has, behind its
+  // owner's back, so the owner's lockdep stack entry is retired first
+  // (a base that then refuses the release costs lockdep that entry,
+  // never a false edge).
   bool refuse_release(Event ev, AccessMode mode) {
-    return apply_policy(ev, mode, /*release_side=*/true);
+    if (apply_policy(ev, mode, /*release_side=*/true)) return true;
+    end_foreign_hold();
+    return false;
   }
 
   Base base_;
-  std::atomic<ShieldPolicy> policy_;
-  // True when the policy was chosen per instance (constructor or
-  // set_policy): the verdict pipeline then never overrides it.
-  std::atomic<bool> policy_explicit_;
-  const ClassMode class_mode_;
-  // Live waiter gauge + cumulative contended-acquire count.
-  ContentionProbe contention_;
+
+  // -- the holder line: written by the exclusive / write holder only --
   // Owner tags (pid+1) of the exclusive / write side, for release
   // classification and contention — the held-locks table, not these
   // words, decides balanced vs unbalanced.
-  std::atomic<std::uint32_t> owner_{kNoOwner};
+  alignas(kHolderAlign) std::atomic<std::uint32_t> owner_{kNoOwner};
   std::atomic<std::uint32_t> last_owner_{kNoOwner};
+  // Registered on first tracked acquire, retired on destruction unless
+  // keyed (the key owns a shared class).
+  std::atomic<lockdep::ClassId> lockdep_class_{lockdep::kInvalidClass};
+  const ClassMode class_mode_;
   // Context the base was acquired with on the exclusive / write side.
   // Only the owner touches it between the base acquire and the matching
   // base release (guarded by base_); §5 hand-off releases bypass it.
   Context* active_ctx_ = nullptr;
-  // Registered on first tracked acquire, retired on destruction unless
-  // keyed (the key owns a shared class).
-  std::atomic<lockdep::ClassId> lockdep_class_{lockdep::kInvalidClass};
+  // Exclusive / write-side base grants, and releases (incl. absorbed).
+  Tally acquisitions_;
+  Tally releases_;
   lockdep::LockClassKey* const lockdep_key_;
   const char* lockdep_label_;
+
+  // -- the cold line(s): waiters, policy, verdict and misuse counts ----
+  // Live waiter gauge + cumulative contended-acquire count.
+  alignas(platform::kCacheLineSize) ContentionProbe contention_;
+  std::atomic<ShieldPolicy> policy_;
+  // True when the policy was chosen per instance (constructor or
+  // set_policy): the verdict pipeline then never overrides it.
+  std::atomic<bool> policy_explicit_;
   ShieldCounters counters_;
 
  private:
@@ -484,11 +512,13 @@ class ShieldCore {
     return fresh;
   }
 
-  // The graph-side owner mirror identifies per-instance classes only; a
-  // shared or keyed class has many concurrent owners.
-  void clear_owner_mirror() {
+  // A release is about to end the current hold without its owner:
+  // moving the own class's hand-off epoch retires the owner's lockdep
+  // stack entry (on_acquire_attempt purges it). Shared and keyed
+  // classes stamp no epoch.
+  void end_foreign_hold() {
     if (class_mode_ == ClassMode::kInstance) {
-      lockdep::Graph::instance().clear_owner(
+      lockdep::Graph::instance().bump_handoff_epoch(
           lockdep_class_.load(std::memory_order_relaxed));
     }
   }

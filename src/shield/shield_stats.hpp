@@ -1,20 +1,24 @@
-// Per-shield verdict counters, shared by Shield<L> and RwShield<L>.
+// Per-shield counters, shared by Shield<L> and RwShield<L>.
 //
 // A production shield is as much a telemetry source as a guard: knowing
 // *that* misuse happens (and which kind, and how often) is what turns a
 // suppressed bug into a fixed one (paper §7's feedback-to-programmer
-// discussion). A shield fronts EVERY interposed mutex — PARSEC-style
-// apps allocate millions — so the counters pack into two cache lines
-// per instance instead of one line per counter: threads bumping them
-// are already bouncing the lock's own line, so per-counter isolation
-// buys nothing here.
+// discussion). They come in two kinds, split by who writes them:
+//
+//   * Tally: the per-acquisition and per-release counts. Only the
+//     thread holding the base lock writes one, so the base orders the
+//     writers and a plain load+store is exact; it sits on the shield's
+//     holder line (shield_core.hpp), which the new holder takes anyway.
+//   * ShieldCounters: the verdict and misuse counts, bumped by any
+//     thread (a misuse is by definition a thread the lock does not
+//     order), so they stay exact RMWs. They live on the shield's cold
+//     lines: a correct program never writes them.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 
-#include "platform/cacheline.hpp"
 #include "response/response.hpp"
 #include "shield/policy.hpp"
 
@@ -39,15 +43,29 @@ struct ShieldSnapshot {
   }
 };
 
+// A counter bumped with a plain load+store instead of an RMW: exact
+// only while something else orders its writers (the base lock for the
+// holder tallies); RwShield's read stripes accept the odd lost bump.
+class Tally {
+ public:
+  void bump() {
+    n_.store(n_.load(std::memory_order_relaxed) + 1,
+             std::memory_order_relaxed);
+  }
+  std::uint64_t read() const { return n_.load(std::memory_order_relaxed); }
+  void reset() { n_.store(0, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<std::uint64_t> n_{0};
+};
+
 class ShieldCounters {
  public:
   enum Slot : std::size_t {
-    kAcquisitions = 0,  // exclusive / write-side base grants
-    kReleases = 1,      // exclusive / write-side releases (incl. absorbed)
-    kAbsorbed = 2,
-    kSuppressed = 3,
-    kPassedThrough = 4,
-    kMisuseBase = 5,  // + response::ResponseEvent
+    kAbsorbed = 0,
+    kSuppressed = 1,
+    kPassedThrough = 2,
+    kMisuseBase = 3,  // + response::ResponseEvent
     kSlots = kMisuseBase + response::kResponseEvents,
   };
 
@@ -70,10 +88,7 @@ class ShieldCounters {
   }
 
  private:
-  // One aligned block (14 words, 2 cache lines), isolated from whatever
-  // the shield places next to it.
-  alignas(platform::kCacheLineSize) std::atomic<std::uint64_t>
-      slots_[kSlots] = {};
+  std::atomic<std::uint64_t> slots_[kSlots] = {};
 };
 
 }  // namespace resilock::shield

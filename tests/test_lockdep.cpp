@@ -8,7 +8,9 @@
 //   * detection semantics through real Shield<L> locks: AB/BA flagged
 //     on first occurrence with no wedge, dining-philosophers cycle,
 //     no false positives on consistent ordering across TAS/Ticket/MCS,
-//     trylock neutrality, §5 escape-hatch stack hygiene;
+//     trylock neutrality, §5 escape-hatch stack hygiene, and the
+//     per-class hand-off epoch that retires an entry whose hold a
+//     forwarded non-owner unlock ended;
 //   * the mode engine (report/abort/off) and the verify-layer
 //     scenario matrix.
 #include <gtest/gtest.h>
@@ -494,6 +496,60 @@ TEST(Lockdep, HandoffStaleEntryFeedsNoBogusEdges) {
   a.release();
   b.release();
   EXPECT_EQ(stats().reports(), before);
+}
+
+TEST(Lockdep, ForwardedNonOwnerUnlockRetiresHoldersEntry) {
+  // A pinned-passthrough shield forwards another thread's non-owner
+  // unlock to the base, which ends this thread's hold behind its back.
+  // The hand-off epoch moves, so this thread's next nested acquire
+  // purges the stale entry instead of recording an order from a lock
+  // it no longer holds.
+  LockdepModeGuard mode(LockdepMode::kReport);
+  Shield<TatasLock> l1(ShieldPolicy::kPassThrough);
+  Shield<TatasLock> l2;
+  l1.acquire();
+  std::thread t([&] { EXPECT_TRUE(l1.release()); });  // forwarded
+  t.join();
+  EXPECT_FALSE(l1.base().is_locked());
+  l2.acquire();
+  EXPECT_FALSE(AcqStack::mine().contains(&l1));
+  EXPECT_FALSE(
+      Graph::instance().has_edge(l1.lockdep_class(), l2.lockdep_class()));
+  EXPECT_TRUE(l2.release());
+  l1.release();  // drops this thread's own table entry
+  EXPECT_EQ(l1.held_depth(), 0u);
+}
+
+TEST(Lockdep, ChurnOnOtherLocksKeepsHeldEntryValid) {
+  // The hand-off epoch is per class: other threads nesting other locks,
+  // and even a forwarded non-owner unlock of another lock, leave this
+  // thread's entry for l1 valid, so l1 -> l2 is still recorded.
+  LockdepModeGuard mode(LockdepMode::kReport);
+  Shield<TatasLock> l1, l2, x, y;
+  Shield<TatasLock> z(ShieldPolicy::kPassThrough);
+  l1.acquire();
+  std::vector<std::thread> churn;
+  for (int tid = 0; tid < 3; ++tid) {
+    churn.emplace_back([&, tid] {
+      for (int i = 0; i < 2000; ++i) {
+        x.acquire();
+        y.acquire();
+        EXPECT_TRUE(y.release());
+        EXPECT_TRUE(x.release());
+      }
+      if (tid == 0) {
+        z.acquire();
+        std::thread([&] { EXPECT_TRUE(z.release()); }).join();
+      }
+    });
+  }
+  for (auto& t : churn) t.join();
+  l2.acquire();
+  EXPECT_TRUE(AcqStack::mine().contains(&l1));
+  EXPECT_TRUE(
+      Graph::instance().has_edge(l1.lockdep_class(), l2.lockdep_class()));
+  EXPECT_TRUE(l2.release());
+  EXPECT_TRUE(l1.release());
 }
 
 TEST(LockdepDeathTest, AbortModeDiesBeforeTheWedge) {

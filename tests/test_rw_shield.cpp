@@ -10,7 +10,8 @@
 //   * the verify-layer rw matrix across the C-RW configurations;
 //   * the pipeline both shields share (shield/shield_core.hpp): parked
 //     waiters credited to their lockstat class, one rescue-wake rule,
-//     and the per-instance size budget.
+//     exact write tallies under contention, and the per-instance size
+//     budget.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -121,6 +122,25 @@ TEST_F(RwShieldTest, ConcurrentReadersOverlapWritersExclude) {
   EXPECT_EQ(wchk.max_simultaneous(), 1);
   EXPECT_EQ(rw.snapshot().total_misuses(), 0u);
   EXPECT_TRUE(rw.base().indicator().is_empty());
+}
+
+TEST_F(RwShieldTest, WriteTalliesExactUnderContention) {
+  // Write-side tallies sit on the holder line and are bumped with a
+  // plain load+store: exact, because only the write holder writes them.
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint64_t kPairs = 200000;
+  RwShield<CrwNpLockResilient> rw;
+  runtime::ThreadTeam::run(kThreads, [&](std::uint32_t) {
+    CrwNpLockResilient::Context c;
+    for (std::uint64_t i = 0; i < kPairs; ++i) {
+      rw.wlock(c);
+      ASSERT_TRUE(rw.wunlock(c));
+    }
+  });
+  const auto snap = rw.snapshot();
+  EXPECT_EQ(snap.write_acquisitions, kThreads * kPairs);
+  EXPECT_EQ(snap.write_releases, kThreads * kPairs);
+  EXPECT_EQ(snap.total_misuses(), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -365,6 +365,26 @@ TEST(Shield, MutualExclusionPreserved) {
   rt::mutex_stress(ctxlock, 4, 1500);
 }
 
+TEST(Shield, HolderTalliesExactUnderContention) {
+  // The acquisition and release tallies are plain load+store bumps on
+  // the holder line: exact because only the base lock's holder writes
+  // them, so a contended hand-off must lose none.
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint64_t kPairs = 200000;
+  Shield<McsLockResilient> s;
+  runtime::ThreadTeam::run(kThreads, [&](std::uint32_t) {
+    Shield<McsLockResilient>::Context c;
+    for (std::uint64_t i = 0; i < kPairs; ++i) {
+      s.acquire(c);
+      ASSERT_TRUE(s.release(c));
+    }
+  });
+  const auto snap = s.snapshot();
+  EXPECT_EQ(snap.acquisitions, kThreads * kPairs);
+  EXPECT_EQ(snap.releases, kThreads * kPairs);
+  EXPECT_EQ(snap.total_misuses(), 0u);
+}
+
 TEST(Shield, ShieldedOriginalSurvivesConcurrentMisuse) {
   // The headline property: an ORIGINAL protocol behind the shield keeps
   // mutual exclusion while a rogue thread hammers unbalanced releases.
