@@ -5,9 +5,9 @@
 // read acquisitions of the same lock coexist, and read/write holds have
 // asymmetric deadlock semantics (R–R dependencies can never wedge,
 // Linux-lockdep-style). This tag threads the distinction through every
-// layer that records acquisitions: HeldLockTable entries, the Shield
-// record/validate/release path, lockdep acquisition stacks, and the
-// order-graph edge recording.
+// layer that records acquisitions: the held record's entries (which
+// the Shield, lockdep and lockstat share), the Shield
+// record/validate/release path, and the order-graph edge recording.
 //
 // kExclusive is the mutex case and deliberately distinct from kWrite:
 // a mutex acquisition is exclusive by protocol, a write acquisition is

@@ -202,8 +202,8 @@ class CohortLock {
     }
     // The caller stops holding both levels whether the global is
     // passed to the cohort or released for real. Not gated on
-    // lockdep_enabled(): entries pushed while tracking was on must
-    // come off regardless (no-ops when never pushed).
+    // lockdep_enabled(): level entries recorded while tracking was on
+    // must come off regardless (no-ops when never recorded).
     lockdep::on_released(&global_);
     lockdep::on_released(&d.local);
     if (generic_has_waiters(d.local, ctx.local_) &&

@@ -30,12 +30,12 @@
 // global queue, root) and "hclh.level1" (the per-cluster local queues,
 // which all share the level's class). A granted thread logically holds
 // BOTH levels (its batch position and the global lock), so both enter
-// the acquisition stack; the cluster master's local→global splice is
-// edge-free (the local class rides the skip set), and a within-cluster
-// grant inherits the global level with no blocking attempt and no
-// edges — the exact analogue of the cohort combinator's top_granted
-// path, one level down the generalization ladder from the
-// arbitrary-depth HMCS trees.
+// the held record as lockdep-only entries; the cluster master's
+// local→global splice is edge-free (the local class rides the skip
+// set), and a within-cluster grant inherits the global level with no
+// blocking attempt and no edges — the exact analogue of the cohort
+// combinator's top_granted path, one level down the generalization
+// ladder from the arbitrary-depth HMCS trees.
 #pragma once
 
 #include <atomic>
@@ -170,8 +170,8 @@ class BasicHclhLock {
 
   bool release(Context& ctx) {
     // The caller stops holding both levels. Not gated on
-    // lockdep_enabled(): entries pushed while tracking was on must come
-    // off regardless (no-ops when never pushed).
+    // lockdep_enabled(): level entries recorded while tracking was on
+    // must come off regardless (no-ops when never recorded).
     lockdep::on_released(&global_tail_);
     lockdep::on_released(
         &local_tails_[topo_.domain_of(platform::self_pid())]);
@@ -221,7 +221,7 @@ class BasicHclhLock {
       local_tails_;
   // Per-level shared lockdep classes, owned by the lock (see the
   // header comment); &global_tail_ / &local_tails_[cluster] serve as
-  // the levels' stack identities.
+  // the levels' held-record keys.
   lockdep::LockClassKey global_key_;
   lockdep::LockClassKey local_key_;
 };

@@ -271,11 +271,11 @@ class BasicHmcsLock {
   // Order edges from app-held locks to this level, with the tree's own
   // levels excluded (the climb is the protocol's invariant).
   void hier_attempt(HNode* level) {
-    // Single-lock hot path: an empty acquisition stack records no
-    // edges, so skip the class ensure and the skip-set scan entirely
-    // (the on_acquired that follows registers the class regardless).
-    // Mirrors RwShield::lockdep_attempt.
-    if (lockdep::AcqStack::mine().depth() == 0) return;
+    // Single-lock hot path: an empty held record sources no edges, so
+    // skip the class ensure and the skip-set scan entirely (the
+    // on_acquired that follows registers the class regardless).
+    // Mirrors ShieldCore::lockdep_attempt.
+    if (shield::HeldLockTable::mine().held_count() == 0) return;
     const lockdep::ClassId cls = ensure_level_class(level);
     lockdep::ClassId skip[kMaxTrackedLevels];
     const std::size_t n = own_level_classes(skip);
@@ -286,7 +286,7 @@ class BasicHmcsLock {
   // The caller ceases to hold EVERY level on its path whether the
   // release passes within the cohort or walks up — the successor
   // inherits the ancestors either way (not gated on lockdep_enabled():
-  // entries pushed while tracking was on must come off regardless).
+  // level entries recorded while tracking was on must come off).
   void pop_level_entries(HNode* from) {
     for (HNode* n = from; n != nullptr; n = n->parent) {
       lockdep::on_released(n);
@@ -380,7 +380,7 @@ class BasicHmcsLock {
     } else if (dep) {
       // st is a passing count — this level AND every ancestor were
       // handed to us implicitly. Inherited, not attempted: the holds
-      // enter the acquisition stack with no blocking attempt and hence
+      // enter the held record with no blocking attempt and hence
       // no edges, mirroring the cohort combinator's top_granted path.
       for (HNode* n = level; n != nullptr; n = n->parent) {
         lockdep::on_acquired(n, ensure_level_class(n));

@@ -82,7 +82,7 @@ int rl_mutex_destroy(rl_mutex_t* m);
 // pthread_rwlock_unlock is ONE entry point for both modes; the C-RW
 // protocols have two (runlock/wunlock). The mode-aware shield
 // (RwShield, shield/rw_shield.hpp) is what makes the single-unlock
-// contract implementable: the per-thread held-locks table records
+// contract implementable: the per-thread held record notes
 // whether the caller holds the lock in read or write mode, and the
 // unlock routes to the matching side — or reports EPERM when the
 // caller holds nothing (errorcheck semantics). With RESILOCK_SHIELD=0

@@ -737,7 +737,6 @@ LockdepStats Graph::stats() const {
   s.rr_skipped = rr_skipped_.load(std::memory_order_relaxed);
   s.inversions = inversions_.load(std::memory_order_relaxed);
   s.cycles = cycles_.load(std::memory_order_relaxed);
-  s.stack_overflow = stack_overflow_.load(std::memory_order_relaxed);
   s.capacity = capacity_.load(std::memory_order_relaxed);
   s.chunks = chunks_.load(std::memory_order_relaxed);
   s.epoch = global_epoch_.load(std::memory_order_relaxed);

@@ -40,14 +40,18 @@
 //     active reader pin postdates them — so a traversal can never
 //     stitch a dead class's stale in-edge to a recycled id's fresh
 //     out-edges, and retirement never blocks on other threads;
-//   * a per-thread acquisition stack (AcqStack) recording the held set
-//     in acquisition order, fed by Shield<L> hooks. An entry can go
-//     stale without its thread releasing (a §5 hand-off, a forwarded
+//   * no held set of its own: the thread's held record
+//     (shield/held_lock_table.hpp), exact at any depth, is shared with
+//     the shield and lockstat. An entry's lockdep part (class, hand-off
+//     epoch) is set by the hooks below — Shield<L> on its own entry,
+//     the combinators on depth-0 level entries. An entry can go stale
+//     without its thread releasing (a §5 hand-off, a forwarded
 //     non-owner release, a destroyed lock); it is validated against
 //     the class table — the slot's generation and instance, and for a
 //     shield's own class its hand-off epoch — before it sources an
-//     edge. The hot path writes nothing to the shared table: the epoch
-//     moves only on those misuse and hand-off paths;
+//     edge, and a stale one loses only its lockdep part. The hot path
+//     writes nothing to the shared table: the epoch moves only on
+//     those misuse and hand-off paths;
 //   * verdicts wired to RESILOCK_LOCKDEP=report|abort|off (default
 //     report), runtime-settable like the shield policy.
 //
@@ -59,8 +63,8 @@
 // contribute to a deadlock cycle (it can only be held while someone
 // else blocks, which the blocking side's edge records).
 //
-// Mode-tagged edges (the rw refactor): every acquisition-stack entry
-// and every edge records its AccessMode. Read/read dependencies add NO
+// Mode-tagged edges (the rw refactor): every held-record entry and
+// every edge records its AccessMode. Read/read dependencies add NO
 // edges — readers never block readers, so holding A in read mode while
 // read-acquiring B can never be a deadlock ingredient (Linux lockdep's
 // recursive-read rule) — and therefore every edge the graph stores has
@@ -82,6 +86,7 @@
 #include "core/access_mode.hpp"
 #include "lockdep/event_ring.hpp"
 #include "platform/env.hpp"
+#include "shield/held_lock_table.hpp"
 
 namespace resilock::lockdep {
 
@@ -203,7 +208,6 @@ struct LockdepStats {
   std::uint64_t rr_skipped = 0;          // read/read pairs taken edge-free
   std::uint64_t inversions = 0;          // two-class AB/BA reports
   std::uint64_t cycles = 0;              // reports with cycle length >= 3
-  std::uint64_t stack_overflow = 0;      // held-set entries not tracked
   std::uint64_t capacity = 0;            // table slots currently mapped
   std::uint64_t chunks = 0;              // chunk mappings (growth steps)
   std::uint64_t epoch = 0;               // global reclamation epoch
@@ -236,7 +240,7 @@ class Graph {
   // Allocates a class id shared by MANY lock instances (Linux-style
   // static class keys, see class_key.hpp). `key` is registered as the
   // class's instance so reports can name it; the shared bit tells the
-  // acquisition-stack validation that neither the instance nor the
+  // held-entry validation that neither the instance nor the
   // hand-off epoch can identify individual locks of this class.
   ClassId register_shared_class(const void* key, const char* label);
 
@@ -366,14 +370,14 @@ class Graph {
   // Hand-off epoch of a per-instance class. The shield bumps it when a
   // release is about to end the lock's current hold behind its owner's
   // back (the §5 escape hatch, a forwarded non-owner release); every
-  // acquisition-stack entry of the class records it when pushed, so a
-  // moved epoch marks the entry stale. It lives in the graph's own
+  // held-record entry of the class records it in its lockdep part, so
+  // a moved epoch marks that part stale. It lives in the graph's own
   // table, not in the lock, so a thread can validate a possibly-stale
   // entry WITHOUT dereferencing a lock object that may have been
   // destroyed since — and since it moves only on those paths, a
   // correct program's acquires and releases only ever read it. Relaxed
   // is enough: the bump precedes the base release that lets the next
-  // holder in, and that hand-off orders it before the next push.
+  // holder in, and that hand-off orders it before the next record.
   std::uint32_t handoff_epoch(ClassId id) const {
     const ClassSlot* s = slot_checked(id);
     return s != nullptr ? s->handoff_epoch.load(std::memory_order_relaxed)
@@ -618,9 +622,6 @@ class Graph {
   std::atomic<std::uint64_t> limbo_count_{0};
   std::atomic<std::uint64_t> reclaimed_{0};
   std::atomic<std::uint64_t> shard_steals_{0};
-
-  friend class AcqStack;  // stack_overflow_ lives here for one snapshot
-  std::atomic<std::uint64_t> stack_overflow_{0};
 };
 
 // RAII capacity clamp for tests (restores the previous limit).
@@ -639,77 +640,74 @@ class CapacityLimitGuard {
 };
 
 // ---------------------------------------------------------------------
-// Per-thread acquisition stack: the held set, in acquisition order.
+// Hooks, called by Shield<L> and the combinators. The held set they
+// read and write is the thread's held record: an entry's lockdep part
+// is `ordered` plus its class and hand-off epoch.
 // ---------------------------------------------------------------------
 
-class AcqStack {
- public:
-  // Deeper nests than this stop being tracked (counted, fail-open).
-  // 64 is far beyond any sane lock nest; the shield's HeldLockTable
-  // stays exact regardless.
-  static constexpr std::size_t kMaxDepth = 64;
+using Hold = shield::HeldLockTable::Hold;
+static_assert(shield::HeldLockTable::kNoClass == kInvalidClass);
 
-  struct Entry {
-    const void* lock = nullptr;
-    ClassId cls = kInvalidClass;
-    // The class's hand-off epoch at push (per-instance classes only).
-    std::uint32_t epoch = 0;
-    AccessMode mode = AccessMode::kExclusive;
-  };
+namespace detail {
+// The edge walk of one acquire attempt on `lock` (class `cls`), as the
+// held record's prune() visitor: one order edge per held entry. Its
+// call is forced inline (prune is too), so the walk compiles into one
+// loop — it runs on every nested acquire.
+struct EdgeWalk {
+  Graph& g;
+  const void* lock;
+  ClassId cls;
+  std::uint32_t waiters;
+  bool owned;
+  AccessMode mode;
+  const ClassId* skip_src;
+  std::size_t skip_n;
+  // One pin for the rest of the walk, taken at the first entry that
+  // needs the graph: every validity probe and edge claim reads
+  // epoch-protected table state, and the nested pins inside
+  // ensure_edge collapse to thread-local depth bumps. A combinator's
+  // climb, whose held entries are all its own levels, takes none.
+  std::optional<Graph::EpochPin> pin;
 
-  static AcqStack& mine() {
-    thread_local AcqStack s;
-    return s;
-  }
-
-  bool push(const void* lock, ClassId cls,
-            AccessMode mode = AccessMode::kExclusive,
-            std::uint32_t epoch = 0) {
-    if (n_ == kMaxDepth) {
-      Graph::instance().stack_overflow_.fetch_add(
-          1, std::memory_order_relaxed);
-      return false;
+  [[gnu::always_inline]] void operator()(const void* held_lock,
+                                         Hold& held) {
+    if (!held.ordered) return;
+    // The caller's own levels: no edge, and nothing to validate — they
+    // are live classes of the lock being climbed.
+    for (std::size_t s = 0; s < skip_n; ++s) {
+      if (held.cls == skip_src[s]) return;
     }
-    e_[n_++] = Entry{lock, cls, epoch, mode};
-    return true;
-  }
-
-  // Removes the topmost entry for `lock`; no-op when absent (releases
-  // of untracked or stale-handed-off locks).
-  void remove(const void* lock) {
-    for (std::size_t i = n_; i-- > 0;) {
-      if (e_[i].lock != lock) continue;
-      remove_at(i);
+    if (!pin) pin.emplace(g);
+    // A per-instance held entry sources an edge only while the graph
+    // still maps its class to this lock AND no release has ended the
+    // hold behind this thread's back since it was recorded (the
+    // hand-off epoch is unchanged). A §5 hand-off (cross-thread release
+    // with checks disabled), a forwarded non-owner release or a
+    // destroyed lock leaves a stale entry that would otherwise record
+    // orders this thread never held across — so its lockdep part is
+    // cleared lazily here; the shield's own self-heal decides when the
+    // rest of the entry goes. Every probe reads the graph's own table,
+    // never the (possibly freed) lock object; a recycled slot fails the
+    // id's generation check and is cleared the same way.
+    //
+    // A SHARED (keyed) class maps many instances to one id, so neither
+    // the instance nor the epoch can identify this entry; the only
+    // check left is that the key itself is still registered. Stale
+    // keyed entries are instead bounded by release() clearing them by
+    // lock pointer. Read/write holds of rw shields are shared-class by
+    // construction (many concurrent readers), so they take this branch
+    // too.
+    if (g.is_shared(held.cls)
+            ? g.instance_of(held.cls) == nullptr
+            : (g.instance_of(held.cls) != held_lock ||
+               g.handoff_epoch(held.cls) != held.epoch)) {
+      held.ordered = false;
       return;
     }
+    g.ensure_edge(held.cls, cls, lock, waiters, owned, held.mode, mode);
   }
-
-  // Removes the entry at `index`, preserving the order of the rest
-  // (used by the lazy stale-entry purge in on_acquire_attempt).
-  void remove_at(std::size_t index) {
-    for (std::size_t j = index + 1; j < n_; ++j) e_[j - 1] = e_[j];
-    --n_;
-  }
-
-  bool contains(const void* lock) const {
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (e_[i].lock == lock) return true;
-    }
-    return false;
-  }
-
-  std::size_t depth() const { return n_; }
-  const Entry* begin() const { return e_; }
-  const Entry* end() const { return e_ + n_; }
-
- private:
-  Entry e_[kMaxDepth] = {};
-  std::size_t n_ = 0;
 };
-
-// ---------------------------------------------------------------------
-// Hooks, called by Shield<L>.
-// ---------------------------------------------------------------------
+}  // namespace detail
 
 // Before a BLOCKING acquire attempt: records one order edge per held
 // lock and runs the verdict on any new edge — i.e. an imminent
@@ -731,52 +729,10 @@ inline void on_acquire_attempt(const void* lock, ClassId cls,
                                AccessMode mode, const ClassId* skip_src,
                                std::size_t skip_n) {
   if (!class_tracked(cls)) return;
-  AcqStack& st = AcqStack::mine();
-  if (st.depth() == 0) return;  // single-lock hot path: no edges
-  Graph& g = Graph::instance();
-  // One pin for the whole held-set walk: every validity probe and edge
-  // claim below reads epoch-protected table state, and the nested pins
-  // inside ensure_edge collapse to thread-local depth bumps.
-  Graph::EpochPin pin(g);
-  for (std::size_t i = 0; i < st.depth();) {
-    const AcqStack::Entry held = st.begin()[i];
-    const bool shared = g.is_shared(held.cls);
-    // A per-instance held entry sources an edge only while the graph
-    // still maps its class to this lock AND no release has ended the
-    // hold behind this thread's back since the push (the hand-off epoch
-    // is unchanged). A §5 hand-off (cross-thread release with checks
-    // disabled), a forwarded non-owner release or a destroyed lock
-    // leaves a stale entry that would otherwise record orders this
-    // thread never held across — purge it lazily instead. Every probe
-    // reads the graph's own table, never the (possibly freed) lock
-    // object; a recycled slot fails the id's generation check and
-    // purges the same way.
-    //
-    // A SHARED (keyed) class maps many instances to one id, so neither
-    // the instance nor the epoch can identify this entry; the only
-    // check left is that the key itself is still registered. Stale
-    // keyed entries are instead bounded by release() removing them by
-    // lock pointer. Read/write holds of rw shields are shared-class by
-    // construction (many concurrent readers), so they take this branch
-    // too.
-    if (shared ? g.instance_of(held.cls) == nullptr
-               : (g.instance_of(held.cls) != held.lock ||
-                  g.handoff_epoch(held.cls) != held.epoch)) {
-      st.remove_at(i);
-      continue;
-    }
-    bool skipped = false;
-    for (std::size_t s = 0; s < skip_n; ++s) {
-      if (held.cls == skip_src[s]) {
-        skipped = true;
-        break;
-      }
-    }
-    if (!skipped) {
-      g.ensure_edge(held.cls, cls, lock, waiters, owned, held.mode, mode);
-    }
-    ++i;
-  }
+  shield::HeldLockTable& tbl = shield::HeldLockTable::mine();
+  if (tbl.held_count() == 0) return;  // single-lock hot path: no edges
+  tbl.prune(detail::EdgeWalk{Graph::instance(), lock, cls, waiters, owned,
+                             mode, skip_src, skip_n, {}});
 }
 
 // Single-skip convenience (the two-level cohort shape).
@@ -790,30 +746,39 @@ inline void on_acquire_attempt(const void* lock, ClassId cls,
 }
 
 // After the base protocol actually granted the lock (blocking or try
-// path). Callers gate on lockdep_enabled(). `check_contains` guards
-// against double-pushing a pass-through relock; callers that KNOW the
-// acquisition is fresh (their held-table probe just said "not held")
-// pass false and skip the scan — the rw read fast path cares.
-// `own_class`: `cls` is the lock's own per-instance class, whose
-// hand-off epoch the entry records (Graph::handoff_epoch).
-inline void on_acquired(const void* lock, ClassId cls,
-                        AccessMode mode = AccessMode::kExclusive,
-                        bool check_contains = true, bool own_class = false) {
-  if (!class_tracked(cls)) return;
-  AcqStack& st = AcqStack::mine();
-  if (check_contains && st.contains(lock)) {
-    return;  // pass-through relock: held set, not depth
-  }
-  st.push(lock, cls, mode,
-          own_class ? Graph::instance().handoff_epoch(cls) : 0);
+// path): gives the held entry `h` its lockdep part. Callers gate on
+// lockdep_enabled(). An entry that already has one keeps it (a
+// pass-through relock is held set, not depth). `own_class`: `cls` is
+// the lock's own per-instance class, whose hand-off epoch the entry
+// records (Graph::handoff_epoch).
+inline void on_acquired(Hold& h, ClassId cls, bool own_class) {
+  if (!class_tracked(cls) || h.ordered) return;
+  h.ordered = true;
+  h.cls = cls;
+  h.epoch = own_class ? Graph::instance().handoff_epoch(cls) : 0;
 }
 
-// After the base protocol was released (or the entry went stale through
-// the §5 escape hatch). NOT gated on lockdep_enabled(): if tracking was
-// on at acquire time the entry must come off even if the mode changed
-// in between.
+// A combinator's level `lock` was granted: a lockdep-only, depth-0
+// entry under the level's shared class.
+inline void on_acquired(const void* lock, ClassId cls) {
+  if (!class_tracked(cls)) return;
+  shield::HeldLockTable& tbl = shield::HeldLockTable::mine();
+  if (Hold* h = tbl.find(lock)) {
+    on_acquired(*h, cls, false);
+  } else {
+    tbl.insert(lock, {.cls = cls, .ordered = true});
+  }
+}
+
+// A combinator's level `lock` was released: clears its lockdep part.
+// NOT gated on lockdep_enabled(): if tracking was on at acquire time
+// the part must come off even if the mode changed in between.
 inline void on_released(const void* lock) {
-  AcqStack::mine().remove(lock);
+  shield::HeldLockTable& tbl = shield::HeldLockTable::mine();
+  Hold* h = tbl.find(lock);
+  if (h == nullptr) return;
+  h->ordered = false;
+  if (h->empty()) tbl.erase(lock, *h);
 }
 
 }  // namespace resilock::lockdep

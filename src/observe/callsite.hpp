@@ -66,10 +66,20 @@ class InterposedSiteScope {
 class CallSiteTable {
  public:
   static constexpr std::size_t kSlots = 8;
+  // Acquisitions are counted per AccessMode value.
+  static constexpr std::size_t kModes = 3;
 
-  void record(const void* site) noexcept {
+  // Counts one acquisition in `mode` at `site`. Each acquisition bumps
+  // exactly one counter — its site's, or the overflow (table full) or
+  // unsited (no site) tally — so the table is also the class's exact
+  // per-mode acquisition count, at one RMW per acquisition.
+  void record(const void* site, std::size_t mode = 0) noexcept {
     const auto addr = reinterpret_cast<std::uintptr_t>(site);
-    if (addr == 0) return;
+    mode %= kModes;
+    if (addr == 0) {
+      unsited_[mode].fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
     for (Slot& slot : slots_) {
       std::uintptr_t cur = slot.site.load(std::memory_order_acquire);
       if (cur == 0) {
@@ -81,43 +91,60 @@ class CallSiteTable {
         // CAS lost: cur now holds the winner's address; fall through.
       }
       if (cur == addr) {
-        slot.count.fetch_add(1, std::memory_order_relaxed);
+        slot.count[mode].fetch_add(1, std::memory_order_relaxed);
         return;
       }
     }
-    overflow_.fetch_add(1, std::memory_order_relaxed);
+    overflow_[mode].fetch_add(1, std::memory_order_relaxed);
   }
 
-  std::uint64_t overflow() const noexcept {
-    return overflow_.load(std::memory_order_relaxed);
+  // Acquisitions at sites that found the table full.
+  std::uint64_t overflow() const noexcept { return sum(overflow_); }
+
+  // Every acquisition recorded in `mode`: sited, overflow and unsited.
+  std::uint64_t mode_total(std::size_t mode) const noexcept {
+    std::uint64_t n = overflow_[mode].load(std::memory_order_relaxed) +
+                      unsited_[mode].load(std::memory_order_relaxed);
+    for (const Slot& slot : slots_) {
+      n += slot.count[mode].load(std::memory_order_relaxed);
+    }
+    return n;
   }
 
-  // Visits every claimed slot as (address, count).
+  // Visits every claimed slot as (address, count over all modes).
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const Slot& slot : slots_) {
       const std::uintptr_t addr = slot.site.load(std::memory_order_acquire);
-      if (addr == 0) continue;
-      fn(addr, slot.count.load(std::memory_order_relaxed));
+      if (addr != 0) fn(addr, sum(slot.count));
     }
   }
 
   void reset() noexcept {
     for (Slot& slot : slots_) {
       slot.site.store(0, std::memory_order_relaxed);
-      slot.count.store(0, std::memory_order_relaxed);
+      for (auto& c : slot.count) c.store(0, std::memory_order_relaxed);
     }
-    overflow_.store(0, std::memory_order_relaxed);
+    for (auto& c : overflow_) c.store(0, std::memory_order_relaxed);
+    for (auto& c : unsited_) c.store(0, std::memory_order_relaxed);
   }
 
  private:
   struct Slot {
     std::atomic<std::uintptr_t> site{0};
-    std::atomic<std::uint64_t> count{0};
+    std::atomic<std::uint64_t> count[kModes] = {};
   };
 
+  static std::uint64_t sum(
+      const std::atomic<std::uint64_t> (&per_mode)[kModes]) noexcept {
+    std::uint64_t n = 0;
+    for (const auto& c : per_mode) n += c.load(std::memory_order_relaxed);
+    return n;
+  }
+
   Slot slots_[kSlots];
-  std::atomic<std::uint64_t> overflow_{0};
+  std::atomic<std::uint64_t> overflow_[kModes] = {};
+  std::atomic<std::uint64_t> unsited_[kModes] = {};
 };
 
 }  // namespace resilock::observe

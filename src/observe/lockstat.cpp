@@ -29,14 +29,6 @@ namespace resilock::observe {
 // Singleton + per-class table.
 // ---------------------------------------------------------------------
 
-LockStat& LockStat::instance() {
-  // Leaked on purpose: lock hooks may run inside other objects'
-  // destructors during shutdown, after function-local statics with
-  // destructors are gone.
-  static LockStat* inst = new LockStat;
-  return *inst;
-}
-
 LockStat::StatChunk* LockStat::chunk_at(std::uint32_t index,
                                         bool create) {
   std::atomic<StatChunk*>& dslot = dir_[index];
@@ -61,8 +53,7 @@ void LockStat::park_retired(Entry* e) noexcept {
   retired_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
-ClassStats* LockStat::stats_for(lockdep::ClassId cls) {
-  if (!lockdep::class_tracked(cls)) return nullptr;  // sentinels too
+ClassStats* LockStat::install(lockdep::ClassId cls) {
   const std::uint32_t slot = lockdep::class_slot(cls);
   StatChunk* c = chunk_at(slot / kStatChunkSlots, /*create=*/true);
   std::atomic<Entry*>& eslot = c->slots[slot % kStatChunkSlots];
@@ -84,18 +75,6 @@ ClassStats* LockStat::stats_for(lockdep::ClassId cls) {
   }
 }
 
-ClassStats* LockStat::peek(lockdep::ClassId cls) const noexcept {
-  if (!lockdep::class_tracked(cls)) return nullptr;
-  const std::uint32_t slot = lockdep::class_slot(cls);
-  const StatChunk* c =
-      dir_[slot / kStatChunkSlots].load(std::memory_order_acquire);
-  if (c == nullptr) return nullptr;
-  Entry* e = c->slots[slot % kStatChunkSlots].load(
-      std::memory_order_acquire);
-  if (e == nullptr || e->id != cls) return nullptr;
-  return &e->st;
-}
-
 LockStat::Totals LockStat::totals() const noexcept {
   Totals t;
   for (std::uint32_t ci = 0; ci < kStatDirSlots; ++ci) {
@@ -108,8 +87,8 @@ LockStat::Totals LockStat::totals() const noexcept {
       const HistogramSnapshot wait = s->wait.snapshot();
       const HistogramSnapshot hold = s->hold.snapshot();
       std::uint64_t acq = 0;
-      for (const auto& m : s->by_mode) {
-        acq += m.load(std::memory_order_relaxed);
+      for (std::size_t m = 0; m < kAccessModes; ++m) {
+        acq += s->sites.mode_total(m);
       }
       const std::uint64_t con = wait.count;
       const std::uint64_t tf =
@@ -148,7 +127,7 @@ std::vector<ClassReport> LockStat::report() const {
           s->trylock_fails.load(std::memory_order_relaxed);
       r.misuses = s->misuses.load(std::memory_order_relaxed);
       for (std::size_t m = 0; m < kAccessModes; ++m) {
-        r.by_mode[m] = s->by_mode[m].load(std::memory_order_relaxed);
+        r.by_mode[m] = s->sites.mode_total(m);
         r.acquisitions += r.by_mode[m];
       }
       r.wait = s->wait.snapshot();
@@ -199,7 +178,6 @@ void LockStat::reset() noexcept {
     s->hold.reset();
     s->trylock_fails.store(0, std::memory_order_relaxed);
     s->misuses.store(0, std::memory_order_relaxed);
-    for (auto& m : s->by_mode) m.store(0, std::memory_order_relaxed);
     s->parks.store(0, std::memory_order_relaxed);
     s->park_ns.store(0, std::memory_order_relaxed);
     s->wakes.store(0, std::memory_order_relaxed);

@@ -19,10 +19,11 @@
 //   * mode-tagged acquisition counts for the rw family.
 //
 // Gating: everything above is behind lockstat_enabled() — one relaxed
-// flag load on the lock paths, the exact pattern span tracing set
+// flag load on the acquire paths, the exact pattern span tracing set
 // (RESILOCK_LOCKSTAT env seed, set_lockstat()/LockstatGuard at
-// runtime). Off (the default), the uncontended fast path is the
-// pre-lockstat code.
+// runtime). A release only reads its held-record entry's window field,
+// which the shield has at hand. Off (the default), the uncontended
+// fast path is the pre-lockstat code.
 //
 // Cost model: every tally above is EXACT except the hold-time
 // histogram, which samples 1-in-N hold windows per thread
@@ -60,6 +61,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/access_mode.hpp"
@@ -160,15 +162,14 @@ class LockstatSampleGuard {
 inline constexpr std::size_t kAccessModes = 3;  // AccessMode values
 
 // Derived rather than stored (hot-path RMWs are the whole overhead
-// budget): acquisitions = sum of by_mode, contentions = wait.count —
-// on_contended_wait and on_acquired each pay exactly one counter bump
-// beyond their histogram/site recording.
+// budget): acquisitions by mode = the call-site table's per-mode
+// totals, contentions = wait.count — on_acquired pays one counter bump
+// (its site's), on_contended_wait only its histogram's.
 struct ClassStats {
   LogHistogram wait;  // contended-acquire wait, ns
   LogHistogram hold;  // base acquire .. balanced release, ns
   std::atomic<std::uint64_t> trylock_fails{0};
   std::atomic<std::uint64_t> misuses{0};
-  std::atomic<std::uint64_t> by_mode[kAccessModes] = {};
   // Parking tier (src/park/): kernel sleeps attributed to this class.
   // park_ns is inside the wait histogram's window (a parked wait is a
   // contended wait), so parks/park_time read as "of the wait above,
@@ -176,8 +177,9 @@ struct ClassStats {
   std::atomic<std::uint64_t> parks{0};
   std::atomic<std::uint64_t> park_ns{0};
   std::atomic<std::uint64_t> wakes{0};
-  CallSiteTable sites;
+  CallSiteTable sites;  // also the acquisition tally, by mode
 };
+static_assert(CallSiteTable::kModes == kAccessModes);
 
 struct CallSiteRow {
   std::uintptr_t site = 0;
@@ -223,19 +225,39 @@ class LockStat {
     std::uint64_t park_ns = 0;
   };
 
-  static LockStat& instance();
+  // Leaked on purpose: lock hooks may run inside other objects'
+  // destructors during shutdown, after function-local statics with
+  // destructors are gone.
+  static LockStat& instance() {
+    static LockStat* inst = new LockStat;
+    return *inst;
+  }
 
   // Stats block for `cls`, allocated on first use and keyed by the
   // full generation-stamped id: a stale block left by a previous
   // generation of the same slot is displaced, not reused. nullptr for
   // the sentinel ids (kInvalidClass/kUntrackedClass) — events on a
   // lock whose class table slot never existed are not attributable.
-  ClassStats* stats_for(lockdep::ClassId cls);
+  // The lookup is inline (every recorded acquisition makes it); only
+  // the first event of a class takes the out-of-line install.
+  ClassStats* stats_for(lockdep::ClassId cls) {
+    ClassStats* s = peek(cls);
+    return s != nullptr || !lockdep::class_tracked(cls) ? s : install(cls);
+  }
 
   // Like stats_for but never allocates and never displaces: nullptr
   // unless a block keyed by exactly `cls` (generation included) is
   // installed.
-  ClassStats* peek(lockdep::ClassId cls) const noexcept;
+  ClassStats* peek(lockdep::ClassId cls) const noexcept {
+    if (!lockdep::class_tracked(cls)) return nullptr;
+    const std::uint32_t slot = lockdep::class_slot(cls);
+    const StatChunk* c =
+        dir_[slot / kStatChunkSlots].load(std::memory_order_acquire);
+    if (c == nullptr) return nullptr;
+    Entry* e = c->slots[slot % kStatChunkSlots].load(
+        std::memory_order_acquire);
+    return e != nullptr && e->id == cls ? &e->st : nullptr;
+  }
 
   Totals totals() const noexcept;
 
@@ -276,6 +298,7 @@ class LockStat {
     std::atomic<Entry*> slots[kStatChunkSlots] = {};
   };
 
+  ClassStats* install(lockdep::ClassId cls);
   StatChunk* chunk_at(std::uint32_t index, bool create);
   void park_retired(Entry* e) noexcept;
 
@@ -286,64 +309,9 @@ class LockStat {
 
 // ---------------------------------------------------------------------
 // Shield hook points. All are no-ops unless called — the shields gate
-// every call on lockstat_enabled(), so the disabled fast path pays one
-// relaxed load and nothing else.
+// every acquire-side call on lockstat_enabled(), so the disabled fast
+// path pays one relaxed load and nothing else.
 // ---------------------------------------------------------------------
-
-// Per-thread open-hold table for hold-time measurement. Per-thread
-// because rw read holds have many simultaneous holders; bounded
-// because lockstat is telemetry — past kMaxOpen simultaneous holds the
-// extra holds simply go unmeasured. push() purges any stale entry for
-// the same lock first (a fresh acquisition proves earlier entries
-// leaked across a disable window), so at most one entry per
-// (thread, lock) exists.
-class HoldTracker {
- public:
-  static constexpr std::size_t kMaxOpen = 32;
-
-  struct Open {
-    const void* lock = nullptr;
-    lockdep::ClassId cls = lockdep::kInvalidClass;
-    std::uint64_t begin_ns = 0;
-  };
-
-  static HoldTracker& mine() {
-    thread_local HoldTracker t;
-    return t;
-  }
-
-  void push(const void* lock, lockdep::ClassId cls, std::uint64_t ns) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (entries_[i].lock == lock) {
-        entries_[i] = entries_[--n_];
-        break;
-      }
-    }
-    if (n_ == kMaxOpen) {
-      ++dropped_;
-      return;
-    }
-    entries_[n_++] = Open{lock, cls, ns};
-  }
-
-  bool pop(const void* lock, Open& out) {
-    for (std::size_t i = n_; i-- > 0;) {
-      if (entries_[i].lock == lock) {
-        out = entries_[i];
-        entries_[i] = entries_[--n_];
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::uint64_t dropped() const noexcept { return dropped_; }
-
- private:
-  Open entries_[kMaxOpen];
-  std::size_t n_ = 0;
-  std::uint64_t dropped_ = 0;
-};
 
 // A contended blocking acquire finished after waiting `wait_ns`.
 // Called for every contended acquire — including forwarded re-acquires
@@ -357,36 +325,59 @@ inline void on_contended_wait(lockdep::ClassId cls,
 }
 
 // A fresh base acquisition completed (blocking or try path). Tallies
-// the acquisition under its mode (exact), records the call site
-// (exact), and — for 1-in-lockstat_sample() acquisitions per thread —
-// opens a timed hold window. The decimation counter is per-thread and
-// shared across classes, so a hot class is sampled at the configured
-// rate regardless of what else the thread locks.
-inline void on_acquired(const void* lock, lockdep::ClassId cls,
+// the acquisition under its call site and mode (one exact counter),
+// and — for 1-in-lockstat_sample() acquisitions per thread —
+// opens a timed hold window in the lock's held-record entry `h` (its
+// lockstat part). The decimation counter is per-thread and shared
+// across classes, so a hot class is sampled at the configured rate
+// regardless of what else the thread locks. Per-thread windows are
+// what rw read holds, with many simultaneous holders, need; the record
+// keeps one at any nesting depth.
+inline void on_acquired(lockdep::Hold& h, lockdep::ClassId cls,
                         AccessMode mode, const void* site) {
   ClassStats* s = LockStat::instance().stats_for(cls);
   if (s == nullptr) return;
-  s->by_mode[static_cast<std::size_t>(mode) % kAccessModes].fetch_add(
-      1, std::memory_order_relaxed);
-  s->sites.record(site);
+  s->sites.record(site, static_cast<std::size_t>(mode));
   const std::uint32_t mask =
       detail::sample_mask_flag().load(std::memory_order_relaxed);
   thread_local std::uint32_t decimate = 0;
   if (mask == 0 || (++decimate & mask) == 0) {
-    HoldTracker::mine().push(lock, cls, runtime::now_ns_fast());
+    h.cls = cls;
+    // 0 means "not sampled"; the low bit costs at most 1 ns.
+    h.hold_begin_ns = runtime::now_ns_fast() | 1;
   }
 }
 
+// The same by lock pointer: a sampled window goes into `lock`'s entry,
+// which is added (lockstat part only) when the lock has none.
+inline void on_acquired(const void* lock, lockdep::ClassId cls,
+                        AccessMode mode, const void* site) {
+  lockdep::Hold window;
+  on_acquired(window, cls, mode, site);
+  if (window.hold_begin_ns == 0) return;
+  lockdep::Hold& h = shield::HeldLockTable::mine().entry(lock);
+  h.cls = window.cls;
+  h.hold_begin_ns = window.hold_begin_ns;
+}
+
 // The balanced release of a fresh acquisition: closes the hold window
-// if on_acquired sampled one (a miss is a short scan of the
-// per-thread open table, no timestamp).
-inline void on_released(const void* lock) {
-  HoldTracker::Open open;
-  if (!HoldTracker::mine().pop(lock, open)) return;
-  ClassStats* s = LockStat::instance().peek(open.cls);
+// if on_acquired sampled one (no timestamp otherwise). Not gated on
+// lockstat_enabled(): a window opened while it was on still closes.
+inline void on_released(lockdep::Hold& h) {
+  if (h.hold_begin_ns == 0) return;
+  const std::uint64_t begin = std::exchange(h.hold_begin_ns, 0);
+  ClassStats* s = LockStat::instance().peek(h.cls);
   if (s == nullptr) return;
   const std::uint64_t now = runtime::now_ns_fast();
-  s->hold.record(now > open.begin_ns ? now - open.begin_ns : 0);
+  s->hold.record(now > begin ? now - begin : 0);
+}
+
+inline void on_released(const void* lock) {
+  shield::HeldLockTable& tbl = shield::HeldLockTable::mine();
+  lockdep::Hold* h = tbl.find(lock);
+  if (h == nullptr) return;
+  on_released(*h);
+  if (h->empty()) tbl.erase(lock, *h);
 }
 
 inline void on_trylock_fail(lockdep::ClassId cls) {

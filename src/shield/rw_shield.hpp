@@ -9,7 +9,7 @@
 // skews it forever (readers and writers co-resident in the CS, then
 // writer starvation). RwShield solves that open problem the same way
 // the exclusive shield solved unbalanced unlock: ownership tracking in
-// FRONT of the protocol. The per-thread HeldLockTable entry carries the
+// FRONT of the protocol. The per-thread held-record entry carries the
 // AccessMode of the hold, so the shield can intercept, before the
 // indicator or the cohort lock can be corrupted:
 //
@@ -38,11 +38,12 @@
 // and only write-involved orders can flag inversions. The lockdep class
 // is registered SHARED (one class, many concurrent reader "owners"): a
 // per-class hand-off epoch, which marks the end of one owner's hold,
-// cannot describe a read-held lock, so rw stack entries carry none.
+// cannot describe a read-held lock, so the lockdep part of an rw entry
+// carries none.
 //
 // The §5 escape hatch is honored: with misuse_checks_enabled() == false
-// every call forwards verbatim (local table entries are drained on the
-// way through so re-enabling checks later does not see phantom holds).
+// every call forwards verbatim (a balanced release still drops the
+// caller's own entry on the way through).
 #pragma once
 
 #include <atomic>
@@ -136,86 +137,31 @@ class RwShield : public ShieldCore<Base, typename Base::Context> {
   // base) and suppressed — EPERM semantics, like Shield::release.
   bool runlock(Context& ctx) {
     auto& tbl = HeldLockTable::mine();
-    // The balanced release is the fast path: one table scan decides
-    // everything, and only the cold branches (absorbed depth, misuse,
-    // §5 escape hatch) consult any global flag.
-    const int remaining =
-        tbl.note_released_in_mode(this, AccessMode::kRead);
-    if (remaining >= 0) {
-      read_stripe(tbl).releases.bump();
-      if (remaining > 0) {
-        // Matching release of an absorbed recursion — unless the §5
-        // escape hatch is open, in which case every call forwards to
-        // the base verbatim (the caller asked for raw behavior).
-        if (misuse_checks_enabled()) return true;
-        return base_.runlock(ctx);
-      }
-      return base_.runlock(this->note_released(AccessMode::kRead, ctx));
-    }
-    // §5 escape hatch: trust the caller, forward verbatim. The
-    // not-held/wrong-mode entry state is left as-is: a cross-thread
-    // read hand-off is the acquirer's entry to shed, not ours.
-    if (!misuse_checks_enabled()) return base_.runlock(ctx);
-    // Not held: the §4 headline, depart-without-arrive, intercepted
-    // before the indicator can skew — even indicators that cannot
-    // detect it. Otherwise a write hold is being released as a read.
-    const bool refused =
-        remaining == HeldLockTable::kNotHeld
-            ? this->refuse_release(Event::kUnbalancedReadUnlock,
-                                   AccessMode::kRead)
-            : this->refuse_release(Event::kRwModeMismatch, AccessMode::kWrite);
-    if (refused) return false;
-    return base_.runlock(ctx);  // kPassthrough: corrupt faithfully
+    return release<AccessMode::kRead>(tbl, tbl.find_held(this), ctx);
   }
 
   bool wunlock(Context& ctx) {
     auto& tbl = HeldLockTable::mine();
-    // One table scan decides everything, like runlock.
-    const int remaining =
-        tbl.note_released_in_mode(this, AccessMode::kWrite);
-    if (remaining >= 0) {
-      releases_.bump();
-      if (remaining > 0) {
-        // Matching release of an absorbed relock — unless the §5
-        // escape hatch is open (forward every call verbatim).
-        if (misuse_checks_enabled()) return true;
-        return base_.wunlock(ctx);
-      }
-      return base_.wunlock(this->note_released(AccessMode::kWrite, ctx));
-    }
-    if (!misuse_checks_enabled()) {
-      // §5 escape hatch: the cross-thread hand-off case — the acquirer
-      // keeps its own entry; clearing the owner tag lets unlock() route
-      // sanely.
-      this->forget_owner();
-      return base_.wunlock(ctx);
-    }
-    // A read hold released as a write, or a release by a non-holder.
-    const bool refused =
-        remaining == HeldLockTable::kWrongMode
-            ? this->refuse_release(Event::kRwModeMismatch, AccessMode::kRead)
-            : this->refuse_release(this->classify_release(),
-                                   AccessMode::kWrite);
-    if (refused) return false;
-    return base_.wunlock(ctx);  // kPassthrough: faithful
+    return release<AccessMode::kWrite>(tbl, tbl.find_held(this), ctx);
   }
 
-  // pthread_rwlock_unlock semantics: one entry point, the held-locks
-  // table (not the caller) decides which side to release. This is the
-  // API the interpose shim routes pthread_rwlock_unlock through — the
-  // mode tag is what makes the single-unlock contract implementable.
+  // pthread_rwlock_unlock semantics: one entry point, the held record
+  // (not the caller) decides which side to release. This is the API the
+  // interpose shim routes pthread_rwlock_unlock through — the mode tag
+  // is what makes the single-unlock contract implementable.
   bool unlock(Context& ctx) {
-    auto& tbl = HeldLockTable::mine();
     if (!misuse_checks_enabled()) {
-      // Without the table's word, fall back to the write-owner tag;
-      // the side entry points own the escape-hatch table draining.
+      // Without the record's word, fall back to the write-owner tag;
+      // the side entry points own the escape-hatch forwarding.
       return owner_.load(std::memory_order_relaxed) != Core::kNoOwner
                  ? wunlock(ctx)
                  : runlock(ctx);
     }
-    if (tbl.holds(this)) {
-      return tbl.mode_of(this) == AccessMode::kWrite ? wunlock(ctx)
-                                                     : runlock(ctx);
+    auto& tbl = HeldLockTable::mine();
+    if (HeldLockTable::Hold* h = tbl.find_held(this)) {
+      return h->mode == AccessMode::kWrite
+                 ? release<AccessMode::kWrite>(tbl, h, ctx)
+                 : release<AccessMode::kRead>(tbl, h, ctx);
     }
     // Not held at all: classify on the write side (the read side has
     // no ownership to misattribute) and suppress/forward per verdict.
@@ -257,18 +203,18 @@ class RwShield : public ShieldCore<Base, typename Base::Context> {
   template <AccessMode M>
   void lock(Context& ctx, const void* site) {
     auto& tbl = HeldLockTable::mine();
-    // `fresh` reflects the table, not the policy outcome: a forwarded
-    // (passthrough or §5-disabled) re-acquire must neither bump the
-    // table nor double-push the lockdep stack.
-    const bool fresh = !tbl.holds(this);
-    if (!fresh && this->absorb_reacquire(tbl, M)) return;
+    // Freshness reflects the record, not the policy outcome: a
+    // forwarded (passthrough or §5-disabled) re-acquire must neither
+    // bump the depth nor give the entry a second lockdep part.
+    HeldLockTable::Hold* h = tbl.find_held(this);
+    if (h != nullptr && this->absorb_reacquire(*h, M)) return;
     // A reader blocks only behind a writer; a writer also behind
     // readers inside the CS.
     bool contended = owner_.load(std::memory_order_relaxed) != Core::kNoOwner;
     if constexpr (M == AccessMode::kWrite) {
       contended = contended || !base_.indicator().is_empty();
     }
-    this->acquire_base(tbl, M, ctx, fresh, contended, site, [&] {
+    this->acquire_base(tbl, M, ctx, h == nullptr, contended, site, [&] {
       if constexpr (M == AccessMode::kRead) {
         base_.rlock(ctx);
       } else {
@@ -283,8 +229,8 @@ class RwShield : public ShieldCore<Base, typename Base::Context> {
   template <AccessMode M>
   bool try_lock(Context& ctx, const void* site) {
     auto& tbl = HeldLockTable::mine();
-    const bool fresh = !tbl.holds(this);  // see lock()
-    if (!fresh && this->absorb_reacquire(tbl, M)) return true;
+    HeldLockTable::Hold* h = tbl.find_held(this);  // see lock()
+    if (h != nullptr && this->absorb_reacquire(*h, M)) return true;
     bool granted;
     if constexpr (M == AccessMode::kRead) {
       granted = base_.try_rlock(ctx);
@@ -292,11 +238,66 @@ class RwShield : public ShieldCore<Base, typename Base::Context> {
       granted = base_.try_wlock(ctx);
     }
     if (!granted) return this->trylock_failed();
-    this->note_acquired(tbl, M, ctx, fresh, site);
+    this->note_acquired(tbl, M, ctx, h == nullptr, site);
     if constexpr (M == AccessMode::kRead) {
       read_stripe(tbl).acqs.bump();
     }
     return true;
+  }
+
+  // One release of side M, given the thread's held entry `h` (nullptr:
+  // not held). The balanced release is the fast path: the one lookup
+  // the caller made decides everything, and only the cold branches
+  // (absorbed depth, misuse, §5 escape hatch) consult any global flag.
+  template <AccessMode M>
+  bool release(HeldLockTable& tbl, HeldLockTable::Hold* h, Context& ctx) {
+    if (h != nullptr && h->mode == M) {
+      if constexpr (M == AccessMode::kRead) {
+        read_stripe(tbl).releases.bump();
+      } else {
+        releases_.bump();
+      }
+      if (--h->depth > 0) {
+        // Matching release of an absorbed recursion — unless the §5
+        // escape hatch is open, in which case every call forwards to
+        // the base verbatim (the caller asked for raw behavior).
+        if (misuse_checks_enabled()) return true;
+        return base_release<M>(ctx);
+      }
+      return base_release<M>(this->note_released(tbl, *h, M, ctx));
+    }
+    if (!misuse_checks_enabled()) {
+      // §5 escape hatch: trust the caller, forward verbatim. The
+      // not-held/wrong-mode entry is left as-is: a cross-thread
+      // hand-off is the acquirer's entry to shed, not ours. A write
+      // release also clears the owner tag, so unlock() routes sanely.
+      if constexpr (M == AccessMode::kWrite) this->forget_owner();
+      return base_release<M>(ctx);
+    }
+    // Read side, not held: the §4 headline, depart-without-arrive,
+    // intercepted before the indicator can skew — even indicators that
+    // cannot detect it. Write side, not held: a release by a
+    // non-holder. Held under the other mode: a mode mismatch, charged
+    // to the mode actually held.
+    const bool refused =
+        h != nullptr
+            ? this->refuse_release(Event::kRwModeMismatch, h->mode)
+        : M == AccessMode::kRead
+            ? this->refuse_release(Event::kUnbalancedReadUnlock,
+                                   AccessMode::kRead)
+            : this->refuse_release(this->classify_release(),
+                                   AccessMode::kWrite);
+    if (refused) return false;
+    return base_release<M>(ctx);  // kPassthrough: corrupt faithfully
+  }
+
+  template <AccessMode M>
+  bool base_release(Context& ctx) {
+    if constexpr (M == AccessMode::kRead) {
+      return base_.runlock(ctx);
+    } else {
+      return base_.wunlock(ctx);
+    }
   }
 
   // The read-side tallies are the only per-op counters on a path that
@@ -316,7 +317,7 @@ class RwShield : public ShieldCore<Base, typename Base::Context> {
   };
 
   // Stripe selection hashes the calling thread's (already fetched)
-  // held-lock table address instead of self_pid(): one TLS object per
+  // held-record address instead of self_pid(): one TLS object per
   // thread, no out-of-line pid lookup on the read fast path. The low
   // ~12 bits of a TLS address are the offset WITHIN the thread's TLS
   // block and identical across glibc worker threads — only the block

@@ -17,8 +17,8 @@
 // verdicts (policy.hpp, response engine), lockdep order edges, lockstat,
 // spans, the contended-wait bracket and the rescue wake. What stays
 // here is the exclusive protocol's own call shape and one rule of its
-// own: a table entry whose owner tag names another thread is stale (the
-// lock left through the §5 escape hatch) and self-heals.
+// own: a held-record entry whose owner tag names another thread is
+// stale (the lock left through the §5 escape hatch) and self-heals.
 //
 // Interception map (policy decides the consequence):
 //   acquire while already holding  -> kReentrantRelock
@@ -102,14 +102,14 @@ class Shield : public ShieldCore<Base> {
   void acquire(Context& ctx) {
     const void* site = RESILOCK_SHIELD_SITE();
     auto& tbl = HeldLockTable::mine();
-    const bool fresh = fresh_acquire(tbl);
-    if (!fresh && this->absorb_reacquire(tbl, AccessMode::kExclusive)) {
+    HeldLockTable::Hold* h = confirm_held_or_heal(tbl);
+    if (h != nullptr && this->absorb_reacquire(*h, AccessMode::kExclusive)) {
       return;
     }
     const bool contended =
         owner_.load(std::memory_order_relaxed) != Core::kNoOwner;
-    this->acquire_base(tbl, AccessMode::kExclusive, ctx, fresh, contended,
-                       site, [&] { generic_acquire(base_, ctx); });
+    this->acquire_base(tbl, AccessMode::kExclusive, ctx, h == nullptr,
+                       contended, site, [&] { generic_acquire(base_, ctx); });
   }
 
   bool try_acquire(Context& ctx)
@@ -117,29 +117,25 @@ class Shield : public ShieldCore<Base> {
   {
     const void* site = RESILOCK_SHIELD_SITE();
     auto& tbl = HeldLockTable::mine();
-    const bool fresh = fresh_acquire(tbl);
-    if (!fresh && this->absorb_reacquire(tbl, AccessMode::kExclusive)) {
+    HeldLockTable::Hold* h = confirm_held_or_heal(tbl);
+    if (h != nullptr && this->absorb_reacquire(*h, AccessMode::kExclusive)) {
       return true;
     }
     if (!generic_try_acquire(base_, ctx)) return this->trylock_failed();
-    this->note_acquired(tbl, AccessMode::kExclusive, ctx, fresh, site);
+    this->note_acquired(tbl, AccessMode::kExclusive, ctx, h == nullptr, site);
     return true;
   }
 
   bool release(Context& ctx) {
     auto& tbl = HeldLockTable::mine();
-    int remaining = tbl.note_released(this);
     // A stale entry must not release a lock some other thread may now
-    // hold: treat the call as a release of a lock the thread does not
-    // hold.
-    if (remaining != HeldLockTable::kNotHeld && !confirm_held_or_heal(tbl)) {
-      remaining = HeldLockTable::kNotHeld;
-    }
-    if (remaining >= 0) {
+    // hold: confirm_held_or_heal() treats the call as a release of a
+    // lock the thread does not hold.
+    if (HeldLockTable::Hold* h = confirm_held_or_heal(tbl)) {
       releases_.bump();
-      if (remaining > 0) return true;  // matching release of a relock
+      if (--h->depth > 0) return true;  // matching release of a relock
       return generic_release(
-          base_, this->note_released(AccessMode::kExclusive, ctx));
+          base_, this->note_released(tbl, *h, AccessMode::kExclusive, ctx));
     }
     if (!misuse_checks_enabled()) {
       // §5 escape hatch: trust the caller and behave like the base.
@@ -193,22 +189,20 @@ class Shield : public ShieldCore<Base> {
   }
 
  private:
-  // False only when the thread's table holds this lock and the owner
-  // tag agrees (a second acquire is a genuine relock).
-  bool fresh_acquire(HeldLockTable& tbl) {
-    return !tbl.holds(this) || !confirm_held_or_heal(tbl);
-  }
-
-  // Validates this thread's table entry against the owner tag. A
-  // mismatch means the lock left this thread through the §5 escape
-  // hatch — a cross-thread release with checks disabled — so the stale
-  // entry (and its lockdep stack entry) is dropped.
-  bool confirm_held_or_heal(HeldLockTable& tbl) {
-    if (owner_.load(std::memory_order_relaxed) == Core::me()) return true;
-    while (tbl.note_released(this) > 0) {
+  // The thread's entry for this lock, validated against the owner tag;
+  // nullptr when the thread does not hold it. A held entry whose owner
+  // tag names someone else means the lock left this thread through the
+  // §5 escape hatch — a cross-thread release with checks disabled — so
+  // the stale entry self-heals: it is dropped, with its lockdep part
+  // and lockstat window, and the call proceeds as from a non-holder.
+  HeldLockTable::Hold* confirm_held_or_heal(HeldLockTable& tbl) {
+    HeldLockTable::Hold* h = tbl.find_held(this);
+    if (h == nullptr ||
+        owner_.load(std::memory_order_relaxed) == Core::me()) {
+      return h;
     }
-    lockdep::on_released(this);
-    return false;
+    tbl.erase(this, *h);
+    return nullptr;
   }
 };
 

@@ -7,14 +7,16 @@
 // The two shields differ only in which base operations they call and
 // which AccessMode they record, so everything else lives here, once:
 //
-//   * interception of a re-acquire by a thread whose HeldLockTable
+//   * interception of a re-acquire by a thread whose held-record
 //     entry already holds the lock: same mode -> kReentrantRelock,
 //     other mode -> kRwModeMismatch, absorbed as a recursion-depth bump;
 //   * the contended-wait bracket around a blocking base operation,
 //     passed in as a callable: waiter gauge, wait spans, lockstat wait
 //     time, and park-tally attribution to the lockdep class;
-//   * acquired/released bookkeeping: held-locks table, owner tags,
-//     lockdep stack, lockstat hold windows, hold spans, counters;
+//   * acquired/released bookkeeping: owner tags, hold spans, counters,
+//     and the hold's one held-record entry (shield/held_lock_table.hpp),
+//     which lockdep and lockstat share. An acquire looks it up once (a
+//     fresh one is appended) and a release finds it once;
 //   * the verdict pipeline (apply_policy) and release classification.
 //
 // Rescue rule: an absorbed RELEASE-side misuse orphans the base's
@@ -193,13 +195,13 @@ class ShieldCore {
     }
   }
 
-  // Acquire-side interception for a thread whose table entry already
+  // Acquire-side interception for a thread whose entry `h` already
   // holds this lock. True: absorbed as a depth bump, the caller must
   // not touch the base. False: forward to the base (kPassthrough
   // verdict, or the §5 escape hatch is open).
-  bool absorb_reacquire(HeldLockTable& tbl, AccessMode want) {
+  bool absorb_reacquire(HeldLockTable::Hold& h, AccessMode want) {
     if (!misuse_checks_enabled()) return false;
-    const AccessMode held = tbl.mode_of(this);
+    const AccessMode held = h.mode;
     // A relock of the mode already held recurses; the other mode is a
     // mismatch (an upgrade would self-deadlock, and a write hold
     // already grants read permission) — absorbed on the held mode.
@@ -207,7 +209,7 @@ class ShieldCore {
         held == want ? Event::kReentrantRelock : Event::kRwModeMismatch;
     if (!apply_policy(ev, held, /*release_side=*/false)) return false;
     counters_.bump(ShieldCounters::kAbsorbed);
-    tbl.note_acquired(this, held);
+    ++h.depth;
     return true;
   }
 
@@ -218,7 +220,7 @@ class ShieldCore {
   template <typename Op>
   void acquire_base(HeldLockTable& tbl, AccessMode mode, Context& ctx,
                     bool fresh, bool contended, const void* site, Op&& op) {
-    lockdep_attempt(mode);
+    lockdep_attempt(tbl, mode);
     if (contended) {
       wait_bracket(mode, site, op);
     } else {
@@ -228,19 +230,23 @@ class ShieldCore {
   }
 
   // After the base granted the lock (blocking or try path). Only a
-  // FRESH acquisition enters the table: a forwarded re-acquire
-  // (passthrough verdict or §5 escape hatch) reached the base, so the
-  // base must see the matching extra release too — a depth bump would
-  // swallow it (and skew a counting ReadIndicator forever).
+  // FRESH acquisition enters the record — appended, since the caller's
+  // lookup just missed. A forwarded re-acquire (passthrough verdict or
+  // §5 escape hatch) reached the base, so the base must see the
+  // matching extra release too — a depth bump would swallow it (and
+  // skew a counting ReadIndicator forever); it looks its entry up
+  // again (the edge walk may have moved it), a cold path.
   void note_acquired(HeldLockTable& tbl, AccessMode mode, Context& ctx,
                      bool fresh, const void* site) {
-    if (lockdep::lockdep_enabled()) {
-      // `fresh` skips the duplicate-entry scan: the table just said
-      // "not held", so the stack cannot hold us either. An own class
-      // stamps the entry with its hand-off epoch, so a hold that ends
-      // behind this thread's back (end_foreign_hold) retires it;
-      // shared and keyed classes name no single hold.
-      lockdep::on_acquired(this, ensure_class(), mode, !fresh,
+    HeldLockTable::Hold* h =
+        fresh ? &tbl.insert(this, {.depth = 1, .mode = mode})
+              : tbl.find_held(this);
+    if (h != nullptr && lockdep::lockdep_enabled()) {
+      // An own class stamps the entry with its hand-off epoch, so a
+      // hold that ends behind this thread's back (end_foreign_hold)
+      // retires its lockdep part; shared and keyed classes name no
+      // single hold.
+      lockdep::on_acquired(*h, ensure_class(),
                            class_mode_ == ClassMode::kInstance);
     }
     if (mode != AccessMode::kRead) {
@@ -251,9 +257,8 @@ class ShieldCore {
       acquisitions_.bump();
     }
     if (fresh) {
-      tbl.note_acquired(this, mode);
       if (observe::lockstat_enabled()) {
-        observe::on_acquired(this, ensure_class(), mode, site);
+        observe::on_acquired(*h, ensure_class(), mode, site);
       }
       if (lockdep::span_tracing_enabled()) {
         emit_span(lockdep::EventKind::kHoldBegin, mode, site);
@@ -267,15 +272,18 @@ class ShieldCore {
   }
 
   // The balanced release of a base hold, just before the base's own
-  // release. Returns the context to release the base with: the one it
-  // was acquired with, even when an absorbed relock handed the caller a
-  // context the base never enqueued (self-deadlock bait).
-  Context& note_released(AccessMode mode, Context& ctx) {
+  // release: closes the lockstat window of the thread's entry `h`
+  // (depth already 0) and drops the entry. Returns the context to
+  // release the base with: the one it was acquired with, even when an
+  // absorbed relock handed the caller a context the base never
+  // enqueued (self-deadlock bait).
+  Context& note_released(HeldLockTable& tbl, HeldLockTable::Hold& h,
+                         AccessMode mode, Context& ctx) {
     if (lockdep::span_tracing_enabled()) {
       emit_span(lockdep::EventKind::kHoldEnd, mode);
     }
-    if (observe::lockstat_enabled()) observe::on_released(this);
-    lockdep::on_released(this);
+    observe::on_released(h);
+    tbl.erase(this, h);
     if (mode == AccessMode::kRead) return ctx;
     last_owner_.store(me(), std::memory_order_relaxed);
     owner_.store(kNoOwner, std::memory_order_relaxed);
@@ -289,8 +297,7 @@ class ShieldCore {
 
   // §5 escape hatch on the release side: a cross-thread release with
   // checks disabled. Clearing the owner tag lets the acquirer's stale
-  // table entry self-heal; end_foreign_hold retires its lockdep stack
-  // entry.
+  // entry self-heal; end_foreign_hold retires its lockdep part at once.
   void forget_owner() {
     owner_.store(kNoOwner, std::memory_order_relaxed);
     end_foreign_hold();
@@ -319,9 +326,9 @@ class ShieldCore {
   // nothing.
   //
   // A forwarded release ends whatever hold the base has, behind its
-  // owner's back, so the owner's lockdep stack entry is retired first
-  // (a base that then refuses the release costs lockdep that entry,
-  // never a false edge).
+  // owner's back, so the lockdep part of the owner's entry is retired
+  // first (a base that then refuses the release costs lockdep that
+  // part, never a false edge).
   bool refuse_release(Event ev, AccessMode mode) {
     if (apply_policy(ev, mode, /*release_side=*/true)) return true;
     end_foreign_hold();
@@ -332,8 +339,8 @@ class ShieldCore {
 
   // -- the holder line: written by the exclusive / write holder only --
   // Owner tags (pid+1) of the exclusive / write side, for release
-  // classification and contention — the held-locks table, not these
-  // words, decides balanced vs unbalanced.
+  // classification and contention — the held record, not these words,
+  // decides balanced vs unbalanced.
   alignas(kHolderAlign) std::atomic<std::uint32_t> owner_{kNoOwner};
   std::atomic<std::uint32_t> last_owner_{kNoOwner};
   // Registered on first tracked acquire, retired on destruction unless
@@ -430,13 +437,13 @@ class ShieldCore {
   }
 
   // The order-edge hook. The stake (waiters plus live readers) can be
-  // an O(threads) indicator scan, so the single-lock path — empty
-  // acquisition stack, where the attempt records nothing — skips it.
-  // "Held by another thread" counts as contended even with no waiter:
-  // that is the canonical two-thread wedge shape.
-  void lockdep_attempt(AccessMode mode) {
+  // an O(threads) indicator scan, so the single-lock path — empty held
+  // record, where the attempt records nothing — skips it. "Held by
+  // another thread" counts as contended even with no waiter: that is
+  // the canonical two-thread wedge shape.
+  void lockdep_attempt(const HeldLockTable& tbl, AccessMode mode) {
     if (!lockdep::lockdep_enabled()) return;
-    if (lockdep::AcqStack::mine().depth() == 0) return;
+    if (tbl.held_count() == 0) return;
     lockdep::on_acquire_attempt(this, ensure_class(),
                                 contention_.waiters() + readers(),
                                 owned_by_other(), mode);
@@ -513,8 +520,8 @@ class ShieldCore {
   }
 
   // A release is about to end the current hold without its owner:
-  // moving the own class's hand-off epoch retires the owner's lockdep
-  // stack entry (on_acquire_attempt purges it). Shared and keyed
+  // moving the own class's hand-off epoch retires the lockdep part of
+  // the owner's entry (on_acquire_attempt clears it). Shared and keyed
   // classes stamp no epoch.
   void end_foreign_hold() {
     if (class_mode_ == ClassMode::kInstance) {

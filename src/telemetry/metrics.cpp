@@ -124,7 +124,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     put("lockdep.rr_skipped", ls.rr_skipped);
     put("lockdep.inversions", ls.inversions);
     put("lockdep.cycles", ls.cycles);
-    put("lockdep.stack_overflow", ls.stack_overflow);
     put("lockdep.capacity", ls.capacity);
     put("lockdep.chunks", ls.chunks);
     put("lockdep.epoch", ls.epoch);

@@ -782,12 +782,13 @@ FlavorOutcome run_cohort() {
       // t3 is stuck inside the LOCAL acquire (its ticket is already
       // issued: realign to next-1); it has not taken a GLOBAL ticket yet
       // (realign to next so its upcoming ticket is served immediately).
+      // Read the global next BEFORE the local realign lets t3 take it.
       auto& local = VerifyAccess::cohort_local(lock, 0);
       auto& global = VerifyAccess::cohort_global(lock);
+      const std::uint64_t global_next = VerifyAccess::ticket_next(global);
       VerifyAccess::ticket_force_serving(
           local, VerifyAccess::ticket_next(local) - 1);
-      VerifyAccess::ticket_force_serving(global,
-                                         VerifyAccess::ticket_next(global));
+      VerifyAccess::ticket_force_serving(global, global_next);
     }
     t3.join();
   } else {

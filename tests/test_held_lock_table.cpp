@@ -1,7 +1,9 @@
 // Direct tests of HeldLockTable's spillover-map path, which
 // test_shield.cpp only crosses incidentally: fast-path overflow into
 // the spill map, erase-from-spill, promotion back into freed fast
-// slots, and depth bookkeeping while an entry lives in the spill.
+// slots, and depth bookkeeping while an entry lives in the spill —
+// plus the per-layer parts of an entry (lockdep's class and epoch,
+// lockstat's window) across the same moves, and depth-0 level entries.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -145,5 +147,92 @@ TEST(HeldLockTableSpill, RePromotionCycleStaysExact) {
     }
     EXPECT_EQ(t.held_count(), 0u);
     EXPECT_TRUE(t.fast_path_only());
+  }
+}
+
+// ---------------------------------------------------------------------
+// Entry parts: what lockdep and lockstat keep next to the depth.
+// ---------------------------------------------------------------------
+
+TEST(HeldLockTableParts, PromotionCarriesEveryPart) {
+  // The PromotionPreservesDepth shape, with a lockdep part and a
+  // lockstat window on the spilled entry.
+  HeldLockTable t;
+  std::vector<int> filler(kFast);
+  for (auto& l : filler) t.note_acquired(&l);
+  int deep = 0;
+  t.note_acquired(&deep, resilock::AccessMode::kWrite);  // spilled
+  t.note_acquired(&deep);
+  HeldLockTable::Hold* h = t.find(&deep);
+  ASSERT_NE(h, nullptr);
+  h->ordered = true;
+  h->cls = 42;
+  h->epoch = 7;
+  h->hold_begin_ns = 1234;
+  EXPECT_EQ(t.note_released(&filler[0]), 0);  // promotes `deep`
+  EXPECT_TRUE(t.fast_path_only());
+  h = t.find(&deep);
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->depth, 2u);
+  EXPECT_EQ(h->mode, resilock::AccessMode::kWrite);
+  EXPECT_TRUE(h->ordered);
+  EXPECT_EQ(h->cls, 42u);
+  EXPECT_EQ(h->epoch, 7u);
+  EXPECT_EQ(h->hold_begin_ns, 1234u);
+  // The final release drops the entry with every part.
+  EXPECT_EQ(t.note_released(&deep), 1);
+  EXPECT_EQ(t.note_released(&deep), 0);
+  EXPECT_EQ(t.find(&deep), nullptr);
+}
+
+TEST(HeldLockTableParts, LevelEntriesAreInvisibleToTheShield) {
+  HeldLockTable t;
+  int level = 0;
+  HeldLockTable::Hold& h = t.entry(&level);
+  h.ordered = true;
+  h.cls = 3;
+  EXPECT_EQ(t.held_count(), 1u);
+  EXPECT_FALSE(t.holds(&level));
+  EXPECT_EQ(t.depth(&level), 0u);
+  EXPECT_EQ(t.find_held(&level), nullptr);
+  EXPECT_EQ(t.note_released(&level), HeldLockTable::kNotHeld);
+  EXPECT_EQ(t.held_count(), 1u);  // a refused release leaves it alone
+  // A shield acquisition of the same address joins the entry.
+  t.note_acquired(&level);
+  EXPECT_TRUE(t.holds(&level));
+  EXPECT_TRUE(t.find(&level)->ordered);
+}
+
+TEST(HeldLockTableParts, PruneVisitsEachEntryOnceAndDropsEmpties) {
+  // The RepeatedPromotionDrainsSpill population, half of it depth-0
+  // level entries: pruning every lockdep part drops those mid-walk,
+  // which promotes spilled entries into the slots being walked. Each
+  // entry must still be visited exactly once.
+  HeldLockTable t;
+  constexpr std::size_t kTotal = kFast * 2;
+  std::vector<int> locks(kTotal);
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    if (i % 2 == 0) {
+      t.entry(&locks[i]).ordered = true;  // level entry
+    } else {
+      t.note_acquired(&locks[i]);
+      t.find(&locks[i])->ordered = true;
+    }
+  }
+  EXPECT_FALSE(t.fast_path_only());
+  std::unordered_map<const void*, int> visits;
+  t.prune([&](const void* lock, HeldLockTable::Hold& h) {
+    ++visits[lock];
+    h.ordered = false;
+  });
+  EXPECT_EQ(visits.size(), kTotal);
+  for (const auto& [lock, n] : visits) EXPECT_EQ(n, 1) << lock;
+  EXPECT_EQ(t.held_count(), kTotal / 2);
+  EXPECT_TRUE(t.fast_path_only());
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    EXPECT_EQ(t.find(&locks[i]) != nullptr, i % 2 == 1) << i;
+    if (i % 2 == 1) {
+      EXPECT_FALSE(t.find(&locks[i])->ordered) << i;
+    }
   }
 }

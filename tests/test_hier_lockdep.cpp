@@ -1,7 +1,8 @@
 // Direct coverage for the per-level lockdep attribution of the
 // hierarchical locks (core/{hmcs,hclh,ahmcs}.hpp):
-//   * a 3-level fanout tree puts one acquisition-stack entry per level
-//     on the holder's stack, each tagged with the level's shared class;
+//   * a 3-level fanout tree puts one lockdep-only entry per level in
+//     the holder's held record, each tagged with the level's shared
+//     class;
 //   * the AHMCS adaptive fast path joins mid-tree and must tag ONLY
 //     from its entry level (the root), not the leaf it bypassed;
 //   * concurrent same-level acquisitions across threads and leaves
@@ -36,19 +37,20 @@ void counting_trap(response::ResponseEvent, const void*) {
   g_trap_count.fetch_add(1, std::memory_order_relaxed);
 }
 
-// The calling thread's acquisition-stack classes (multiset — absorbed
-// recursion aside, one entry per held level).
-std::vector<lockdep::ClassId> my_stack_classes() {
+// The classes of the calling thread's held-record entries that source
+// order edges (multiset — one entry per held level).
+std::vector<lockdep::ClassId> my_held_classes() {
   std::vector<lockdep::ClassId> out;
-  const auto& st = lockdep::AcqStack::mine();
-  for (const auto& e : st) out.push_back(e.cls);
+  shield::HeldLockTable::mine().prune([&](const void*, lockdep::Hold& h) {
+    if (h.ordered) out.push_back(h.cls);
+  });
   return out;
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------
-// Per-level stack entries.
+// Per-level held-record entries.
 // ---------------------------------------------------------------------
 
 TEST(HierLockdep, ThreeLevelHoldTagsEveryLevel) {
@@ -56,12 +58,12 @@ TEST(HierLockdep, ThreeLevelHoldTagsEveryLevel) {
   BasicHmcsLock<kResilient> tree(std::vector<std::uint32_t>{2, 2});
   ASSERT_EQ(tree.tracked_levels(), 3u);
   BasicHmcsLock<kResilient>::Context ctx;
-  const std::size_t depth_before = lockdep::AcqStack::mine().depth();
+  const std::size_t depth_before = my_held_classes().size();
   tree.acquire(ctx);
-  const auto classes = my_stack_classes();
+  const auto classes = my_held_classes();
   EXPECT_EQ(classes.size(), depth_before + 3);
-  // Every level class is registered and present on the stack exactly
-  // once, in leaf→root acquisition order.
+  // Every level class is registered and present in the record exactly
+  // once.
   for (std::uint32_t lvl = 0; lvl < 3; ++lvl) {
     const lockdep::ClassId cls = tree.level_class(lvl);
     ASSERT_TRUE(lockdep::class_tracked(cls)) << "level " << lvl;
@@ -73,16 +75,16 @@ TEST(HierLockdep, ThreeLevelHoldTagsEveryLevel) {
   EXPECT_STREQ(lockdep::Graph::instance().label_of(tree.level_class(2)),
                "hmcs.level2");
   EXPECT_TRUE(tree.release(ctx));
-  EXPECT_EQ(lockdep::AcqStack::mine().depth(), depth_before);
+  EXPECT_EQ(my_held_classes().size(), depth_before);
 }
 
 TEST(HierLockdep, HclhHoldTagsBothLevels) {
   lockdep::LockdepModeGuard mode(lockdep::LockdepMode::kReport);
   BasicHclhLock<kResilient> lock(platform::Topology::uniform(2, 2));
   BasicHclhLock<kResilient>::Context ctx;
-  const std::size_t depth_before = lockdep::AcqStack::mine().depth();
+  const std::size_t depth_before = my_held_classes().size();
   lock.acquire(ctx);
-  const auto classes = my_stack_classes();
+  const auto classes = my_held_classes();
   EXPECT_EQ(classes.size(), depth_before + 2);
   EXPECT_EQ(std::count(classes.begin(), classes.end(),
                        lock.level_class(0)),
@@ -93,7 +95,7 @@ TEST(HierLockdep, HclhHoldTagsBothLevels) {
   EXPECT_STREQ(lockdep::Graph::instance().label_of(lock.level_class(0)),
                "hclh.level0");
   EXPECT_TRUE(lock.release(ctx));
-  EXPECT_EQ(lockdep::AcqStack::mine().depth(), depth_before);
+  EXPECT_EQ(my_held_classes().size(), depth_before);
 }
 
 // ---------------------------------------------------------------------
@@ -104,11 +106,11 @@ TEST(HierLockdep, AhmcsAdaptiveEntryTagsOnlyFromEntryLevel) {
   lockdep::LockdepModeGuard mode(lockdep::LockdepMode::kReport);
   BasicAhmcsLock<kResilient> lock(std::vector<std::uint32_t>{2, 2});
   BasicAhmcsLock<kResilient>::Context ctx;
-  const std::size_t depth_before = lockdep::AcqStack::mine().depth();
+  const std::size_t depth_before = my_held_classes().size();
 
   // Leaf-path entry: all three levels held and tagged.
   lock.acquire(ctx);
-  EXPECT_EQ(lockdep::AcqStack::mine().depth(), depth_before + 3);
+  EXPECT_EQ(my_held_classes().size(), depth_before + 3);
   EXPECT_TRUE(lock.release(ctx));
 
   // Build the uncontended streak (the first acquisition above already
@@ -118,14 +120,16 @@ TEST(HierLockdep, AhmcsAdaptiveEntryTagsOnlyFromEntryLevel) {
     EXPECT_TRUE(lock.release(ctx));
   }
   lock.acquire(ctx);
-  const auto classes = my_stack_classes();
+  const auto classes = my_held_classes();
   EXPECT_EQ(classes.size(), depth_before + 1)
       << "adaptive root entry must tag exactly one level";
-  EXPECT_EQ(classes.back(), lock.level_class(0));
+  EXPECT_EQ(std::count(classes.begin(), classes.end(),
+                       lock.level_class(0)),
+            1);
   EXPECT_STREQ(lockdep::Graph::instance().label_of(lock.level_class(0)),
                "ahmcs.level0");
   EXPECT_TRUE(lock.release(ctx));
-  EXPECT_EQ(lockdep::AcqStack::mine().depth(), depth_before);
+  EXPECT_EQ(my_held_classes().size(), depth_before);
 }
 
 // ---------------------------------------------------------------------

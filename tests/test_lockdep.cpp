@@ -2,15 +2,18 @@
 // (src/lockdep/):
 //   * the order graph — class registration/retirement/recycling, edge
 //     dedup, table-full fail-open;
-//   * the per-thread acquisition stack, including overflow fail-open;
+//   * the lockdep part of the per-thread held record: level entries,
+//     the shield's own entry, and every order of a 70-deep nest
+//     recorded (the record has no depth cap);
 //   * the misuse event ring (SPSC semantics, drop accounting, shield
 //     violations arriving as timestamped events);
 //   * detection semantics through real Shield<L> locks: AB/BA flagged
 //     on first occurrence with no wedge, dining-philosophers cycle,
 //     no false positives on consistent ordering across TAS/Ticket/MCS,
-//     trylock neutrality, §5 escape-hatch stack hygiene, and the
-//     per-class hand-off epoch that retires an entry whose hold a
-//     forwarded non-owner unlock ended;
+//     trylock neutrality, §5 escape-hatch record hygiene (the stale
+//     entry sources no edge, keeps no lockstat window and self-heals),
+//     and the per-class hand-off epoch that retires an entry whose hold
+//     a forwarded non-owner unlock ended;
 //   * the mode engine (report/abort/off) and the verify-layer
 //     scenario matrix.
 #include <gtest/gtest.h>
@@ -27,17 +30,19 @@
 #include "interpose/transparent_mutex.hpp"
 #include "lockdep/event_ring.hpp"
 #include "lockdep/lockdep.hpp"
+#include "observe/lockstat.hpp"
+#include "shield/held_lock_table.hpp"
 #include "shield/shield.hpp"
 #include "verify/lockdep_matrix.hpp"
 
 using namespace resilock;
-using lockdep::AcqStack;
 using lockdep::EventKind;
 using lockdep::EventRing;
 using lockdep::Graph;
 using lockdep::LockdepMode;
 using lockdep::LockdepModeGuard;
 using lockdep::TraceBuffer;
+using shield::HeldLockTable;
 using shield::ShieldPolicy;
 
 namespace {
@@ -47,6 +52,19 @@ lockdep::LockdepStats stats() { return Graph::instance().stats(); }
 // The trace buffer is process-global; tests that assert on drained
 // events clear leftovers from earlier tests first.
 void clear_trace() { TraceBuffer::instance().drain_all(); }
+
+// True while `lock`'s entry in this thread's held record has a lockdep
+// part, i.e. would source order edges.
+bool sources_edges(const void* lock) {
+  const HeldLockTable::Hold* h = HeldLockTable::mine().find(lock);
+  return h != nullptr && h->ordered;
+}
+
+// Hold windows lockstat recorded for `cls`.
+std::uint64_t hold_windows(lockdep::ClassId cls) {
+  const observe::ClassStats* s = observe::LockStat::instance().peek(cls);
+  return s != nullptr ? s->hold.snapshot().count : 0;
+}
 
 }  // namespace
 
@@ -151,47 +169,105 @@ TEST(LockdepGraph, TableFullFailsOpen) {
 }
 
 // ---------------------------------------------------------------------
-// Acquisition stack.
+// The held record's lockdep part.
 // ---------------------------------------------------------------------
 
-TEST(LockdepAcqStack, PushRemoveOutOfOrder) {
-  // A fresh thread gets a fresh thread-local stack, so this cannot
+TEST(LockdepHeldRecord, LevelEntriesRemoveOutOfOrder) {
+  // A fresh thread gets a fresh thread-local record, so this cannot
   // disturb the main thread's (shared with every shield it touches).
   std::thread([] {
-    auto& st = AcqStack::mine();
+    auto& tbl = HeldLockTable::mine();
     int a = 0, b = 0, c = 0;
-    EXPECT_EQ(st.depth(), 0u);
-    EXPECT_TRUE(st.push(&a, 1));
-    EXPECT_TRUE(st.push(&b, 2));
-    EXPECT_TRUE(st.push(&c, 3));
-    EXPECT_TRUE(st.contains(&b));
-    st.remove(&b);  // out-of-LIFO release
-    EXPECT_FALSE(st.contains(&b));
-    EXPECT_EQ(st.depth(), 2u);
-    // Order of the survivors is preserved.
-    EXPECT_EQ(st.begin()[0].lock, &a);
-    EXPECT_EQ(st.begin()[1].lock, &c);
-    st.remove(&b);  // absent: no-op
-    EXPECT_EQ(st.depth(), 2u);
-    st.remove(&a);
-    st.remove(&c);
-    EXPECT_EQ(st.depth(), 0u);
+    EXPECT_EQ(tbl.held_count(), 0u);
+    lockdep::on_acquired(&a, 1);
+    lockdep::on_acquired(&b, 2);
+    lockdep::on_acquired(&c, 3);
+    EXPECT_EQ(tbl.held_count(), 3u);
+    // Level entries are lockdep-only: depth 0, so the shield's view
+    // of the same record says "not held".
+    EXPECT_TRUE(sources_edges(&b));
+    EXPECT_FALSE(tbl.holds(&b));
+    EXPECT_EQ(tbl.depth(&b), 0u);
+    // A second grant of a level already recorded keeps the first part.
+    lockdep::on_acquired(&b, 7);
+    EXPECT_EQ(tbl.find(&b)->cls, 2u);
+    lockdep::on_released(&b);  // out-of-LIFO release
+    EXPECT_FALSE(sources_edges(&b));
+    EXPECT_EQ(tbl.find(&b), nullptr);  // nothing left: entry dropped
+    EXPECT_EQ(tbl.held_count(), 2u);
+    EXPECT_EQ(tbl.find(&a)->cls, 1u);
+    EXPECT_EQ(tbl.find(&c)->cls, 3u);
+    lockdep::on_released(&b);  // absent: no-op
+    EXPECT_EQ(tbl.held_count(), 2u);
+    lockdep::on_released(&a);
+    lockdep::on_released(&c);
+    EXPECT_EQ(tbl.held_count(), 0u);
+    // Untracked classes never enter the record.
+    lockdep::on_acquired(&a, lockdep::kUntrackedClass);
+    EXPECT_EQ(tbl.held_count(), 0u);
   }).join();
 }
 
-TEST(LockdepAcqStack, OverflowFailsOpen) {
+TEST(LockdepHeldRecord, ShieldEntryCarriesTheLockdepPart) {
+  // One entry per hold: the shield's depth and lockdep's class share
+  // it, and the balanced release drops both at once.
+  LockdepModeGuard mode(LockdepMode::kReport);
   std::thread([] {
-    auto& st = AcqStack::mine();
-    const auto overflow_before = stats().stack_overflow;
-    std::vector<int> locks(AcqStack::kMaxDepth + 1);
-    for (std::size_t i = 0; i < AcqStack::kMaxDepth; ++i) {
-      EXPECT_TRUE(st.push(&locks[i], 0));
-    }
-    EXPECT_FALSE(st.push(&locks.back(), 0));  // full: counted, dropped
-    EXPECT_EQ(stats().stack_overflow, overflow_before + 1);
-    for (auto& l : locks) st.remove(&l);
-    EXPECT_EQ(st.depth(), 0u);
+    Shield<TatasLock> s;
+    s.acquire();
+    const HeldLockTable::Hold* h = HeldLockTable::mine().find(&s);
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->depth, 1u);
+    EXPECT_TRUE(h->ordered);
+    EXPECT_EQ(h->cls, s.lockdep_class());
+    EXPECT_EQ(HeldLockTable::mine().held_count(), 1u);
+    EXPECT_TRUE(s.release());
+    EXPECT_EQ(HeldLockTable::mine().find(&s), nullptr);
+    EXPECT_EQ(HeldLockTable::mine().held_count(), 0u);
   }).join();
+}
+
+TEST(LockdepHeldRecord, NestPast64RecordsEveryOrder) {
+  // The held record is exact at any depth, so every lock of a 70-deep
+  // nest sources its edges. A 64-entry held stack would stop tracking
+  // (fail-open) past its cap: the orders among the last six locks, and
+  // the inversions they close, would go unseen.
+  LockdepModeGuard mode(LockdepMode::kReport);
+  shield::ShieldPolicyGuard pol(ShieldPolicy::kSuppress);
+  constexpr std::size_t kNest = 70;
+  std::vector<std::unique_ptr<Shield<TatasLock>>> locks;
+  for (std::size_t i = 0; i < kNest; ++i) {
+    locks.push_back(std::make_unique<Shield<TatasLock>>());
+  }
+  for (auto& l : locks) l->acquire();
+  for (auto it = locks.rbegin(); it != locks.rend(); ++it) {
+    EXPECT_TRUE((*it)->release());
+  }
+  Graph& g = Graph::instance();
+  EXPECT_TRUE(g.has_edge(locks[0]->lockdep_class(),
+                         locks[kNest - 1]->lockdep_class()));
+  EXPECT_TRUE(g.has_edge(locks[kNest - 2]->lockdep_class(),
+                         locks[kNest - 1]->lockdep_class()));
+  std::size_t missing = 0;
+  for (std::size_t i = 0; i < kNest; ++i) {
+    for (std::size_t j = i + 1; j < kNest; ++j) {
+      if (!g.has_edge(locks[i]->lockdep_class(),
+                      locks[j]->lockdep_class())) {
+        ++missing;
+      }
+    }
+  }
+  EXPECT_EQ(missing, 0u);
+  // Holding the innermost lock, taking the outermost — and the one
+  // just outside it — inverts a recorded order each time.
+  const auto before = stats().reports();
+  locks[kNest - 1]->acquire();
+  locks[0]->acquire();
+  EXPECT_TRUE(locks[0]->release());
+  locks[kNest - 2]->acquire();
+  EXPECT_TRUE(locks[kNest - 2]->release());
+  EXPECT_TRUE(locks[kNest - 1]->release());
+  EXPECT_EQ(stats().reports(), before + 2);
 }
 
 // ---------------------------------------------------------------------
@@ -449,29 +525,62 @@ TEST(Lockdep, OffModeTracksNothing) {
   EXPECT_EQ(a.lockdep_class(), lockdep::kInvalidClass);  // never touched
 }
 
-TEST(Lockdep, EscapeHatchHandoffLeavesStackClean) {
-  // §5 hand-off: the acquiring thread's stack entry goes stale when the
-  // lock leaves it cross-thread; the next acquire's heal path must
-  // purge it (no accumulation, no bogus edge sources).
+TEST(Lockdep, EscapeHatchHandoffLeavesRecordClean) {
+  // §5 hand-off, seen from the original holder: a cross-thread release
+  // with checks off ends its hold behind its back. Its record entry
+  // must then source no order edge (the next walk clears the lockdep
+  // part), keep no lockstat window (the open window is dropped, never
+  // recorded as a hold), and self-heal on the thread's next acquire or
+  // release of the lock — no accumulation, and held_depth() reads 0
+  // afterwards.
   LockdepModeGuard mode(LockdepMode::kReport);
   shield::ShieldPolicyGuard pol(ShieldPolicy::kSuppress);
-  const auto depth_before = AcqStack::mine().depth();
-  Shield<TatasLock> s;
-  s.acquire();
-  {
-    MisuseCheckGuard off(false);
-    std::thread t([&] { EXPECT_TRUE(s.release()); });
-    t.join();
+  observe::LockstatGuard lockstat(true);
+  observe::LockstatSampleGuard every_hold(1);
+  auto& tbl = HeldLockTable::mine();
+  for (const bool heal_by_acquire : {true, false}) {
+    SCOPED_TRACE(heal_by_acquire ? "heal by acquire" : "heal by release");
+    const auto count_before = tbl.held_count();
+    Shield<TatasLock> a;
+    Shield<TatasLock> b;
+    a.acquire();
+    const HeldLockTable::Hold* h = tbl.find(&a);
+    ASSERT_NE(h, nullptr);
+    EXPECT_TRUE(h->ordered);
+    EXPECT_NE(h->hold_begin_ns, 0u);
+    {
+      MisuseCheckGuard off(false);
+      std::thread([&] { EXPECT_TRUE(a.release()); }).join();
+    }
+    EXPECT_EQ(a.held_depth(), 1u);  // stale until the shield heals it
+    b.acquire();  // the walk clears the stale entry's lockdep part only
+    EXPECT_FALSE(sources_edges(&a));
+    EXPECT_EQ(a.held_depth(), 1u);
+    EXPECT_FALSE(
+        Graph::instance().has_edge(a.lockdep_class(), b.lockdep_class()));
+    EXPECT_TRUE(b.release());
+    EXPECT_EQ(tbl.held_count(), count_before + 1);  // stale
+    const std::uint64_t windows = hold_windows(a.lockdep_class());
+    if (heal_by_acquire) {
+      a.acquire();  // heals: stale entry dropped, fresh entry recorded
+      EXPECT_EQ(tbl.held_count(), count_before + 1);
+      EXPECT_EQ(a.held_depth(), 1u);
+      EXPECT_TRUE(sources_edges(&a));
+      EXPECT_TRUE(a.release());
+      EXPECT_EQ(hold_windows(a.lockdep_class()), windows + 1);  // new hold
+    } else {
+      // Heals, then refuses: the thread no longer holds the lock.
+      EXPECT_FALSE(a.release());
+      EXPECT_EQ(hold_windows(a.lockdep_class()), windows);
+    }
+    EXPECT_EQ(a.held_depth(), 0u);
+    EXPECT_EQ(tbl.find(&a), nullptr);
+    EXPECT_EQ(tbl.held_count(), count_before);
   }
-  EXPECT_EQ(AcqStack::mine().depth(), depth_before + 1);  // stale
-  s.acquire();  // heals: purge + fresh entry
-  EXPECT_EQ(AcqStack::mine().depth(), depth_before + 1);
-  EXPECT_TRUE(s.release());
-  EXPECT_EQ(AcqStack::mine().depth(), depth_before);
 }
 
 TEST(Lockdep, HandoffStaleEntryFeedsNoBogusEdges) {
-  // After a §5 hand-off the acquirer's stack entry is stale even though
+  // After a §5 hand-off the acquirer's record entry is stale even though
   // it never reacquires the lock. The entry must not source order
   // edges: without validation, a.acquire-handoff + b.acquire would
   // record a→b here, and the legitimate b-then-a sequence below would
@@ -488,8 +597,8 @@ TEST(Lockdep, HandoffStaleEntryFeedsNoBogusEdges) {
     std::thread t([&] { EXPECT_TRUE(a.release()); });  // sanctioned
     t.join();
   }
-  b.acquire();  // stale `a` entry is purged, NOT recorded as a→b
-  EXPECT_FALSE(AcqStack::mine().contains(&a));
+  b.acquire();  // stale `a` entry is cleared, NOT recorded as a→b
+  EXPECT_FALSE(sources_edges(&a));
   b.release();
   b.acquire();
   a.acquire();  // legitimate first b-then-a order: nothing to invert
@@ -502,8 +611,9 @@ TEST(Lockdep, ForwardedNonOwnerUnlockRetiresHoldersEntry) {
   // A pinned-passthrough shield forwards another thread's non-owner
   // unlock to the base, which ends this thread's hold behind its back.
   // The hand-off epoch moves, so this thread's next nested acquire
-  // purges the stale entry instead of recording an order from a lock
-  // it no longer holds.
+  // clears the stale entry's lockdep part instead of recording an order
+  // from a lock it no longer holds. The shield's part stays: the owner
+  // tag still names this thread.
   LockdepModeGuard mode(LockdepMode::kReport);
   Shield<TatasLock> l1(ShieldPolicy::kPassThrough);
   Shield<TatasLock> l2;
@@ -512,7 +622,8 @@ TEST(Lockdep, ForwardedNonOwnerUnlockRetiresHoldersEntry) {
   t.join();
   EXPECT_FALSE(l1.base().is_locked());
   l2.acquire();
-  EXPECT_FALSE(AcqStack::mine().contains(&l1));
+  EXPECT_FALSE(sources_edges(&l1));
+  EXPECT_EQ(l1.held_depth(), 1u);
   EXPECT_FALSE(
       Graph::instance().has_edge(l1.lockdep_class(), l2.lockdep_class()));
   EXPECT_TRUE(l2.release());
@@ -545,7 +656,7 @@ TEST(Lockdep, ChurnOnOtherLocksKeepsHeldEntryValid) {
   }
   for (auto& t : churn) t.join();
   l2.acquire();
-  EXPECT_TRUE(AcqStack::mine().contains(&l1));
+  EXPECT_TRUE(sources_edges(&l1));
   EXPECT_TRUE(
       Graph::instance().has_edge(l1.lockdep_class(), l2.lockdep_class()));
   EXPECT_TRUE(l2.release());

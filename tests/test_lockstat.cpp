@@ -9,6 +9,7 @@
 //     counters equal the shield's own (acquisitions, contended waits,
 //     trylock failures, intercepted misuses), per class, exactly;
 //   * modes — rw acquisitions tally under their AccessMode;
+//   * depth — forty simultaneous holds all get their windows timed;
 //   * reports — the /proc/lock_stat-shaped table renders labels,
 //     percentiles, and call sites; the signal trigger requests a dump
 //     that the collector services onto disk;
@@ -23,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -290,6 +292,55 @@ TEST_F(LockstatShieldTest, UncontendedHoldWindowsMatchAcquisitions) {
   EXPECT_EQ(c->sites[0].count + static_cast<std::uint64_t>(
                                     c->site_overflow),
             kIters);
+}
+
+TEST_F(LockstatShieldTest, FortySimultaneousHoldsAreAllTimed) {
+  // A hold window lives in the lock's held-record entry, which is exact
+  // at any depth: with every hold sampled, forty locks held at once
+  // record forty windows. A 32-entry side table of open windows would
+  // drop eight of them.
+  constexpr std::size_t kHeld = 40;
+  std::vector<std::unique_ptr<Shield<TasLock>>> locks;
+  for (std::size_t i = 0; i < kHeld; ++i) {
+    locks.push_back(std::make_unique<Shield<TasLock>>());
+    locks.back()->set_lockdep_label("lockstat.deep");
+  }
+  for (auto& l : locks) l->acquire();
+  for (auto it = locks.rbegin(); it != locks.rend(); ++it) {
+    EXPECT_TRUE((*it)->release());
+  }
+  std::uint64_t windows = 0;
+  for (const auto& l : locks) {
+    const observe::ClassStats* s =
+        LockStat::instance().peek(l->lockdep_class());
+    ASSERT_NE(s, nullptr);
+    windows += s->hold.snapshot().count;
+  }
+  EXPECT_EQ(windows, kHeld);
+}
+
+TEST_F(LockstatShieldTest, ByPointerHooksKeepTheWindowInTheRecord) {
+  // The by-pointer hooks (for a lock with no shield entry) put a
+  // sampled window in a lockstat-only record entry and drop the entry
+  // when the window closes.
+  std::thread([] {
+    auto& g = lockdep::Graph::instance();
+    int y = 0;
+    const lockdep::ClassId cls = g.register_class(&y, "lockstat.bare");
+    auto& tbl = shield::HeldLockTable::mine();
+    observe::on_acquired(&y, cls, AccessMode::kExclusive, nullptr);
+    const shield::HeldLockTable::Hold* h = tbl.find(&y);
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->depth, 0u);
+    EXPECT_NE(h->hold_begin_ns, 0u);
+    observe::on_released(&y);
+    EXPECT_EQ(tbl.find(&y), nullptr);
+    EXPECT_EQ(tbl.held_count(), 0u);
+    const observe::ClassStats* s = LockStat::instance().peek(cls);
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->hold.snapshot().count, 1u);
+    g.retire_class(cls);
+  }).join();
 }
 
 // Default-mode cost control: with 1-in-N sampling only ~1/N of hold

@@ -103,10 +103,18 @@ bool trace_line_has(const std::string& trace, const std::string& a,
   return false;
 }
 
-std::string preload_env() {
-  return std::string("LD_PRELOAD=") + RESILOCK_PRELOAD_LIB +
-         " RESILOCK_SHIELD=1";
+// The children are unsanitized, so a sanitized preload needs the ASan
+// runtime loaded ahead of it (ASan insists on coming first).
+std::string preload_libs() {
+#ifdef PRELOAD_ASAN_RUNTIME
+  return std::string("LD_PRELOAD=") + PRELOAD_ASAN_RUNTIME + ":" +
+         RESILOCK_PRELOAD_LIB;
+#else
+  return std::string("LD_PRELOAD=") + RESILOCK_PRELOAD_LIB;
+#endif
 }
+
+std::string preload_env() { return preload_libs() + " RESILOCK_SHIELD=1"; }
 
 }  // namespace
 
@@ -214,8 +222,7 @@ TEST(PreloadE2E, BareAlgorithmModeStillExcludes) {
   const std::string stats =
       ::testing::TempDir() + "preload_stats_bare.json";
   std::remove(stats.c_str());
-  RunResult r = run(std::string("env LD_PRELOAD=") +
-                    RESILOCK_PRELOAD_LIB +
+  RunResult r = run("env " + preload_libs() +
                     " RESILOCK_SHIELD=0 RESILOCK_PRELOAD_STATS_FILE=" +
                     stats + " " + child_bin("preload_static_init"));
   EXPECT_EQ(r.exit_code, 0) << r.out;
