@@ -1,54 +1,69 @@
-// Type-erased lock with per-thread context management.
+// Type-erased lock: one mutex shape over every algorithm.
 //
 // This is the in-process equivalent of what LiTL (Guiroux 2018) does via
 // LD_PRELOAD interposition (paper §6): application code sees one mutex
-// shape; the algorithm behind it is chosen at runtime by name. Context-
-// carrying locks (MCS, CLH, ABQL, HMCS, ...) get a lazily allocated
-// per-thread context per lock instance, exactly as LiTL keeps per-thread
-// qnode tables.
+// shape; the algorithm behind it is chosen at runtime by name. The
+// adapter keeps no per-thread state. A context-carrying lock (MCS, CLH,
+// ABQL, HMCS, ...) borrows its queue context from the calling thread's
+// ContextPool (core/context_pool.hpp) for the span of one hold: a shield
+// lends and reclaims it itself, since it already tracks the hold; for a
+// bare lock a LentHold records the holder and the lent context — two
+// words per lock, not a table per thread.
 #pragma once
 
 #include <atomic>
-#include <memory>
+#include <cstdint>
 #include <string>
+#include <type_traits>
 
+#include "core/context_pool.hpp"
 #include "core/generic.hpp"
 #include "core/resilience.hpp"
 #include "platform/thread_registry.hpp"
 
 namespace resilock {
 
-// Lazily allocated per-pid slot table.
-template <typename T>
-class PerPid {
+// The one exclusive hold of a bare lock: who holds it and the context
+// it was lent. The holder's release runs on that context and gives it
+// back; anyone else's runs on a never-held one, so a misuse's damage
+// stays on the lock it hit, out of the thread's next hold elsewhere.
+template <typename Ctx>
+class LentHold {
  public:
-  PerPid() {
-    for (auto& s : slots_) s.store(nullptr, std::memory_order_relaxed);
-  }
-  ~PerPid() {
-    for (auto& s : slots_) delete s.load(std::memory_order_relaxed);
-  }
-  PerPid(const PerPid&) = delete;
-  PerPid& operator=(const PerPid&) = delete;
-
-  T& mine() {
-    auto& slot = slots_[platform::self_pid()];
-    T* p = slot.load(std::memory_order_acquire);
-    if (p == nullptr) {
-      p = new T();
-      T* expected = nullptr;
-      if (!slot.compare_exchange_strong(expected, p,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-        delete p;  // pid slots are recycled; someone else installed one
-        p = expected;
-      }
+  // Runs the base acquire `op(ctx)` (true: granted) on a lent context.
+  template <typename Op>
+  bool acquire(Op&& op) {
+    Ctx& ctx = ContextPool<Ctx>::lend();
+    if (!op(ctx)) {
+      ContextPool<Ctx>::reclaim(ctx);
+      return false;
     }
-    return *p;
+    ctx_ = &ctx;  // read only by this holder
+    owner_.store(me(), std::memory_order_relaxed);
+    return true;
+  }
+
+  template <typename Op>
+  bool release(Op&& op) {
+    if (!held_by_me()) return ContextPool<Ctx>::never_held(op);
+    owner_.store(kNoOwner, std::memory_order_relaxed);  // before the base
+    Ctx& ctx = *ctx_;
+    const bool ok = op(ctx);
+    ContextPool<Ctx>::reclaim(ctx);
+    return ok;
+  }
+
+  // Exact for the calling thread: only it writes its own tag.
+  bool held_by_me() const {
+    return owner_.load(std::memory_order_relaxed) == me();
   }
 
  private:
-  std::atomic<T*> slots_[platform::ThreadRegistry::kCapacity];
+  static constexpr std::uint32_t kNoOwner = 0;
+  static std::uint32_t me() { return platform::self_pid() + 1; }
+
+  std::atomic<std::uint32_t> owner_{kNoOwner};
+  Ctx* ctx_ = nullptr;
 };
 
 class AnyLock {
@@ -88,16 +103,36 @@ class AnyLockAdapter final : public AnyLock {
   explicit AnyLockAdapter(std::string name, Args&&... args)
       : name_(std::move(name)), lock_(std::forward<Args>(args)...) {}
 
-  void acquire() override { generic_acquire(lock_, contexts_.mine()); }
+  // A PlainLock needs no context from here: a plain base has none, and
+  // a shield lends its own. A bare context lock goes through hold_.
+  void acquire() override {
+    if constexpr (PlainLock<L>) {
+      lock_.acquire();
+    } else {
+      hold_.acquire([this](Context& c) {
+        lock_.acquire(c);
+        return true;
+      });
+    }
+  }
 
-  bool release() override { return generic_release(lock_, contexts_.mine()); }
+  bool release() override {
+    if constexpr (PlainLock<L>) {
+      return lock_.release();
+    } else {
+      return hold_.release([this](Context& c) { return lock_.release(c); });
+    }
+  }
 
   bool try_acquire() override {
-    if constexpr (generic_has_trylock<L>()) {
-      return generic_try_acquire(lock_, contexts_.mine());
-    } else {
-      generic_acquire(lock_, contexts_.mine());
+    if constexpr (!generic_has_trylock<L>()) {
+      acquire();
       return true;
+    } else if constexpr (PlainLock<L>) {
+      return lock_.try_acquire();
+    } else {
+      return hold_.acquire(
+          [this](Context& c) { return lock_.try_acquire(c); });
     }
   }
 
@@ -135,9 +170,14 @@ class AnyLockAdapter final : public AnyLock {
   L& underlying() { return lock_; }
 
  private:
+  using Context = context_of_t<L>;
+  struct NoHold {};
+
   const std::string name_;
   L lock_;
-  PerPid<context_of_t<L>> contexts_;
+  [[no_unique_address]] std::conditional_t<PlainLock<L>, NoHold,
+                                           LentHold<Context>>
+      hold_;
 };
 
 }  // namespace resilock

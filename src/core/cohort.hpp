@@ -35,7 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
+#include <type_traits>
 
 #include "core/generic.hpp"
 #include "core/mcs.hpp"
@@ -112,23 +112,24 @@ class CohortLock {
    private:
     friend class CohortLock;
     friend struct VerifyAccess;
-    context_of_t<LocalLock> local_;
+    // Empty over a plain local lock, so the context is stateless
+    // (core/context_pool.hpp).
+    [[no_unique_address]] context_of_t<LocalLock> local_;
   };
 
   explicit CohortLock(
       const platform::Topology& topo = platform::Topology::host_default(),
       std::uint32_t max_passes = 64)
-      : topo_(topo), max_passes_(max_passes) {
-    domains_.reserve(topo.num_domains());
-    for (std::uint32_t d = 0; d < topo.num_domains(); ++d)
-      domains_.push_back(std::make_unique<Domain>());
-  }
+      : topo_(topo),
+        max_passes_(max_passes),
+        global_(make_global(topo)),
+        domains_(std::make_unique<Domain[]>(topo.num_domains())) {}
 
   CohortLock(const CohortLock&) = delete;
   CohortLock& operator=(const CohortLock&) = delete;
 
   void acquire(Context& ctx) {
-    Domain& d = *domains_[topo_.domain_of(platform::self_pid())];
+    Domain& d = domains_[topo_.domain_of(platform::self_pid())];
     const bool dep = lockdep::lockdep_enabled();
     lockdep::ClassId local_cls = lockdep::kInvalidClass;
     if (dep) {
@@ -174,7 +175,7 @@ class CohortLock {
     requires(generic_has_trylock<GlobalLock>() &&
              generic_has_trylock<LocalLock>())
   {
-    Domain& d = *domains_[topo_.domain_of(platform::self_pid())];
+    Domain& d = domains_[topo_.domain_of(platform::self_pid())];
     if (!generic_try_acquire(d.local, ctx.local_)) return false;
     const bool dep = lockdep::lockdep_enabled();
     if (d.top_granted.load(std::memory_order_acquire)) {
@@ -191,7 +192,7 @@ class CohortLock {
   }
 
   bool release(Context& ctx) {
-    Domain& d = *domains_[topo_.domain_of(platform::self_pid())];
+    Domain& d = domains_[topo_.domain_of(platform::self_pid())];
     if constexpr (R == kResilient) {
       // The paper's remedy: reuse the local lock's detection — and do it
       // before the global lock can be corrupted.
@@ -229,6 +230,19 @@ class CohortLock {
     [[no_unique_address]] context_of_t<GlobalLock> global_ctx{};
   };
 
+  // Only a domain's local holder goes for the global lock, so it never
+  // sees more contenders than there are domains: a partitioned global
+  // (PTKT) needs no more partitions than that to give every waiter its
+  // own slot.
+  static GlobalLock make_global(const platform::Topology& topo) {
+    if constexpr (std::is_constructible_v<GlobalLock, std::uint32_t>) {
+      return GlobalLock(topo.num_domains());
+    } else {
+      (void)topo;
+      return GlobalLock();
+    }
+  }
+
   void release_global(Domain& d) {
     // The global release may legitimately run on a different thread than
     // the global acquire (cohort property (a)); use the thread-oblivious
@@ -243,7 +257,7 @@ class CohortLock {
   platform::Topology topo_;  // by value: 8 bytes, no lifetime coupling
   const std::uint32_t max_passes_;
   GlobalLock global_;
-  std::vector<std::unique_ptr<Domain>> domains_;
+  std::unique_ptr<Domain[]> domains_;
 };
 
 // The cohort-lock menagerie of §3.8.4. The global lock is always the

@@ -3,6 +3,7 @@
 #include <functional>
 #include <map>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/abql.hpp"
 #include "core/ahmcs.hpp"
@@ -25,61 +26,51 @@ namespace {
 
 using Factory = std::function<std::unique_ptr<AnyLock>(
     Resilience, const platform::Topology&)>;
+using Registry = std::map<std::string, Factory, std::less<>>;
 
-// One factory per algorithm; the flavor decides which template
-// instantiation backs it. `Wrap` optionally interposes an adapter
-// around the flavored lock — the identity by default, Shield for the
-// "shield<X>" composites (flavor still selects the BASE protocol; the
-// shield's verdicts come from RESILOCK_POLICY rules first, with the
-// static policy — RESILOCK_SHIELD_POLICY — as the fallback).
 template <typename T>
 using Identity = T;
 
-// Registry-made shields carry their registry name as the lockdep class
+// `Wrap<Base>` behind an AnyLock; topology-aware bases get `topo`. A
+// registry-made shield carries its registry name as its lockdep class
 // label, so order-cycle reports read "shield<MCS>#12 -> shield<MCS>#13"
-// instead of bare class numbers. `name` is a string literal captured by
-// the factory — stable for the process lifetime, as the label requires.
-template <typename Adapter>
-std::unique_ptr<Adapter> label_for_lockdep(std::unique_ptr<Adapter> a,
-                                           const char* name) {
+// instead of bare class numbers.
+template <typename Base, template <typename> class Wrap>
+std::unique_ptr<AnyLock> make(const char* name,
+                              const platform::Topology& topo) {
+  using Adapter = AnyLockAdapter<Wrap<Base>>;
+  std::unique_ptr<Adapter> a;
+  if constexpr (std::is_constructible_v<Base, const platform::Topology&>) {
+    a = std::make_unique<Adapter>(name, topo);
+  } else {
+    a = std::make_unique<Adapter>(name);
+  }
   if constexpr (requires { a->underlying().set_lockdep_label(name); }) {
     a->underlying().set_lockdep_label(name);
   }
   return a;
 }
 
-template <template <Resilience> class LockT,
-          template <typename> class Wrap = Identity>
-Factory simple_factory(const char* name) {
-  return [name](Resilience r,
-                const platform::Topology&) -> std::unique_ptr<AnyLock> {
-    if (r == kOriginal) {
-      return label_for_lockdep(
-          std::make_unique<AnyLockAdapter<Wrap<LockT<kOriginal>>>>(name),
-          name);
-    }
-    return label_for_lockdep(
-        std::make_unique<AnyLockAdapter<Wrap<LockT<kResilient>>>>(name),
-        name);
+// The flavor selects the BASE protocol's instantiation.
+template <template <Resilience> class LockT, template <typename> class Wrap>
+Factory factory(const char* name) {
+  return [name](Resilience r, const platform::Topology& topo) {
+    return r == kOriginal ? make<LockT<kOriginal>, Wrap>(name, topo)
+                          : make<LockT<kResilient>, Wrap>(name, topo);
   };
 }
 
-template <template <Resilience> class LockT,
-          template <typename> class Wrap = Identity>
-Factory topo_factory(const char* name) {
-  return [name](Resilience r, const platform::Topology& topo)
-             -> std::unique_ptr<AnyLock> {
-    if (r == kOriginal) {
-      return label_for_lockdep(
-          std::make_unique<AnyLockAdapter<Wrap<LockT<kOriginal>>>>(name,
-                                                                   topo),
-          name);
-    }
-    return label_for_lockdep(
-        std::make_unique<AnyLockAdapter<Wrap<LockT<kResilient>>>>(name,
-                                                                  topo),
-        name);
-  };
+// Registers `name` and its "shield<name>" composite — the base behind
+// the generic misuse shield, whose verdicts come from RESILOCK_POLICY
+// rules first, with RESILOCK_SHIELD_POLICY as the fallback. Every base
+// algorithm is covered, so locks with no bespoke resilient variant
+// still get protection. Labels stay valid for the process: `name` is a
+// literal, and map keys never move and are never freed (registry()).
+template <template <Resilience> class LockT>
+void add(Registry& r, const char* name) {
+  r.emplace(name, factory<LockT, Identity>(name));
+  auto shielded = r.emplace(shielded_name(name), Factory{}).first;
+  shielded->second = factory<LockT, Shield>(shielded->first.c_str());
 }
 
 template <Resilience R>
@@ -89,64 +80,33 @@ using TasTatas = BasicTasLock<R, TasVariant::kTatas>;
 template <Resilience R>
 using TasBackoff = BasicTasLock<R, TasVariant::kBackoff>;
 
-const std::map<std::string, Factory, std::less<>>& registry() {
-  static const std::map<std::string, Factory, std::less<>> r = {
-      {"TAS", simple_factory<TasTatas>("TAS")},
-      {"TAS_SWAP", simple_factory<TasSwap>("TAS_SWAP")},
-      {"TAS_BO", simple_factory<TasBackoff>("TAS_BO")},
-      {"Ticket", simple_factory<BasicTicketLock>("Ticket")},
-      {"PTKT", simple_factory<BasicPartitionedTicketLock>("PTKT")},
-      {"ABQL", simple_factory<BasicAndersonLock>("ABQL")},
-      {"GT", simple_factory<BasicGraunkeThakkarLock>("GT")},
-      {"MCS", simple_factory<BasicMcsLock>("MCS")},
-      {"CLH", simple_factory<BasicClhLock>("CLH")},
-      {"MCS_K42", simple_factory<BasicMcsK42Lock>("MCS_K42")},
-      {"Hemlock", simple_factory<BasicHemlock>("Hemlock")},
-      {"HMCS", topo_factory<BasicHmcsLock>("HMCS")},
-      {"AHMCS", topo_factory<BasicAhmcsLock>("AHMCS")},
-      {"HCLH", topo_factory<BasicHclhLock>("HCLH")},
-      {"HBO", topo_factory<BasicHboLock>("HBO")},
-      {"C-BO-BO", topo_factory<CBoBoLock>("C-BO-BO")},
-      {"C-TKT-TKT", topo_factory<CTktTktLock>("C-TKT-TKT")},
-      {"C-MCS-MCS", topo_factory<CMcsMcsLock>("C-MCS-MCS")},
-      {"C-TKT-MCS", topo_factory<CTktMcsLock>("C-TKT-MCS")},
-      {"C-PTKT-TKT", topo_factory<CPtktTktLock>("C-PTKT-TKT")},
-      // Ownership-shield composites (src/shield/): shield<X> is X behind
-      // the generic misuse shield. Every base algorithm is covered so
-      // locks with no bespoke resilient variant still get protection.
-      {"shield<TAS>", simple_factory<TasTatas, Shield>("shield<TAS>")},
-      {"shield<TAS_SWAP>",
-       simple_factory<TasSwap, Shield>("shield<TAS_SWAP>")},
-      {"shield<TAS_BO>",
-       simple_factory<TasBackoff, Shield>("shield<TAS_BO>")},
-      {"shield<Ticket>",
-       simple_factory<BasicTicketLock, Shield>("shield<Ticket>")},
-      {"shield<PTKT>",
-       simple_factory<BasicPartitionedTicketLock, Shield>("shield<PTKT>")},
-      {"shield<ABQL>",
-       simple_factory<BasicAndersonLock, Shield>("shield<ABQL>")},
-      {"shield<GT>",
-       simple_factory<BasicGraunkeThakkarLock, Shield>("shield<GT>")},
-      {"shield<MCS>", simple_factory<BasicMcsLock, Shield>("shield<MCS>")},
-      {"shield<CLH>", simple_factory<BasicClhLock, Shield>("shield<CLH>")},
-      {"shield<MCS_K42>",
-       simple_factory<BasicMcsK42Lock, Shield>("shield<MCS_K42>")},
-      {"shield<Hemlock>",
-       simple_factory<BasicHemlock, Shield>("shield<Hemlock>")},
-      {"shield<HMCS>", topo_factory<BasicHmcsLock, Shield>("shield<HMCS>")},
-      {"shield<AHMCS>", topo_factory<BasicAhmcsLock, Shield>("shield<AHMCS>")},
-      {"shield<HCLH>", topo_factory<BasicHclhLock, Shield>("shield<HCLH>")},
-      {"shield<HBO>", topo_factory<BasicHboLock, Shield>("shield<HBO>")},
-      {"shield<C-BO-BO>", topo_factory<CBoBoLock, Shield>("shield<C-BO-BO>")},
-      {"shield<C-TKT-TKT>",
-       topo_factory<CTktTktLock, Shield>("shield<C-TKT-TKT>")},
-      {"shield<C-MCS-MCS>",
-       topo_factory<CMcsMcsLock, Shield>("shield<C-MCS-MCS>")},
-      {"shield<C-TKT-MCS>",
-       topo_factory<CTktMcsLock, Shield>("shield<C-TKT-MCS>")},
-      {"shield<C-PTKT-TKT>",
-       topo_factory<CPtktTktLock, Shield>("shield<C-PTKT-TKT>")},
-  };
+// Never destroyed: its keys are shield lockdep labels, which exit-time
+// reports (lockstat, traces) still read after static destruction.
+const Registry& registry() {
+  static const Registry& r = *[] {
+    auto* r = new Registry;
+    add<TasTatas>(*r, "TAS");
+    add<TasSwap>(*r, "TAS_SWAP");
+    add<TasBackoff>(*r, "TAS_BO");
+    add<BasicTicketLock>(*r, "Ticket");
+    add<BasicPartitionedTicketLock>(*r, "PTKT");
+    add<BasicAndersonLock>(*r, "ABQL");
+    add<BasicGraunkeThakkarLock>(*r, "GT");
+    add<BasicMcsLock>(*r, "MCS");
+    add<BasicClhLock>(*r, "CLH");
+    add<BasicMcsK42Lock>(*r, "MCS_K42");
+    add<BasicHemlock>(*r, "Hemlock");
+    add<BasicHmcsLock>(*r, "HMCS");
+    add<BasicAhmcsLock>(*r, "AHMCS");
+    add<BasicHclhLock>(*r, "HCLH");
+    add<BasicHboLock>(*r, "HBO");
+    add<CBoBoLock>(*r, "C-BO-BO");
+    add<CTktTktLock>(*r, "C-TKT-TKT");
+    add<CMcsMcsLock>(*r, "C-MCS-MCS");
+    add<CTktMcsLock>(*r, "C-TKT-MCS");
+    add<CPtktTktLock>(*r, "C-PTKT-TKT");
+    return r;
+  }();
   return r;
 }
 

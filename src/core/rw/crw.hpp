@@ -321,9 +321,10 @@ class CrwLock {
 
   Cohort cohort_;
   ReadIndicator indicator_;
+  // One line for both barrier words: each preference uses only its own
+  // (RP: writer_active_, WP: writers_pending_), so they never contend.
   alignas(platform::kCacheLineSize) std::atomic<bool> writer_active_{false};
-  alignas(platform::kCacheLineSize) std::atomic<std::int32_t>
-      writers_pending_{0};
+  std::atomic<std::int32_t> writers_pending_{0};
   alignas(platform::kCacheLineSize) std::atomic<std::uint32_t>
       writer_pid_{0};
   // Read-side park epoch + registered-parker count (see

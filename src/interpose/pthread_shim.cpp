@@ -123,9 +123,12 @@ int rl_mutex_destroy(rl_mutex_t* m) {
 
 namespace {
 
-// Type-erased rw lock with per-thread cohort contexts — the rw
-// analogue of AnyLockAdapter, private to the shim (the registry's
-// AnyLock shape has no read side).
+// Type-erased rw lock with the shim's cohorts — the rw analogue of
+// AnyLockAdapter, private to the shim (the registry's AnyLock shape has
+// no read side). It is the C handle itself, so it carries the timed
+// entry points' gate (see MutexHandle). Those cohorts lock plain local
+// locks, so their contexts are stateless (core/context_pool.hpp): any
+// instance serves any hold, and the adapters keep none.
 class RwAny {
  public:
   virtual ~RwAny() = default;
@@ -136,78 +139,66 @@ class RwAny {
   virtual bool trywrlock() = 0;
   // False iff a misuse was intercepted/detected (EPERM).
   virtual bool unlock() = 0;
+
+  park::TimedGate gate;
 };
 
 // Shielded adapter: RwShield tracks the caller's mode, so unlock() is
 // the shield's own mode-aware single entry point.
 template <typename Rw>
 class ShieldedRwAdapter final : public RwAny {
+  using Context = typename Rw::Context;
+  static_assert(kStatelessContext<Context>);
+
  public:
-  void rdlock() override { rw_.rlock(contexts_.mine()); }
-  void wrlock() override { rw_.wlock(contexts_.mine()); }
-  bool tryrdlock() override { return rw_.try_rlock(contexts_.mine()); }
-  bool trywrlock() override { return rw_.try_wlock(contexts_.mine()); }
-  bool unlock() override { return rw_.unlock(contexts_.mine()); }
+  void rdlock() override { rw_.rlock(ctx_); }
+  void wrlock() override { rw_.wlock(ctx_); }
+  bool tryrdlock() override { return rw_.try_rlock(ctx_); }
+  bool trywrlock() override { return rw_.try_wlock(ctx_); }
+  bool unlock() override { return rw_.unlock(ctx_); }
 
  private:
   shield::RwShield<Rw> rw_;
-  PerPid<typename Rw::Context> contexts_;
+  [[no_unique_address]] Context ctx_;
 };
 
 // Bare adapter (RESILOCK_SHIELD=0): no interception anywhere, but the
-// single-unlock contract still needs to know which side to call — a
-// per-thread mode note demultiplexes, nothing more. An unlock by a
-// thread holding nothing forwards to runlock: exactly the bogus depart
-// whose §4 consequences the bare protocol faithfully exhibits.
+// single-unlock contract still needs to know which side to call, and
+// the only state that decides it is "the caller is the writer": the
+// write hold's LentHold. An unlock by anyone else forwards to runlock:
+// exactly the bogus depart whose §4 consequences the bare protocol
+// faithfully exhibits.
 template <typename Rw>
 class BareRwAdapter final : public RwAny {
+  using Context = typename Rw::Context;
+  static_assert(kStatelessContext<Context>);
+
  public:
-  void rdlock() override {
-    rw_.rlock(contexts_.mine());
-    ++holds_.mine().read_depth;
-  }
+  void rdlock() override { rw_.rlock(ctx_); }
   void wrlock() override {
-    rw_.wlock(contexts_.mine());
-    holds_.mine().write = true;
+    write_.acquire([this](Context& c) {
+      rw_.wlock(c);
+      return true;
+    });
   }
-  bool tryrdlock() override {
-    if (!rw_.try_rlock(contexts_.mine())) return false;
-    ++holds_.mine().read_depth;
-    return true;
-  }
+  bool tryrdlock() override { return rw_.try_rlock(ctx_); }
   bool trywrlock() override {
-    if (!rw_.try_wlock(contexts_.mine())) return false;
-    holds_.mine().write = true;
-    return true;
+    return write_.acquire([this](Context& c) { return rw_.try_wlock(c); });
   }
   bool unlock() override {
-    Hold& h = holds_.mine();
-    if (h.write) {
-      h.write = false;
-      return rw_.wunlock(contexts_.mine());
+    if (write_.held_by_me()) {
+      return write_.release([this](Context& c) { return rw_.wunlock(c); });
     }
-    if (h.read_depth > 0) --h.read_depth;
-    return rw_.runlock(contexts_.mine());
+    return rw_.runlock(ctx_);
   }
 
  private:
-  struct Hold {
-    std::uint32_t read_depth = 0;
-    bool write = false;
-  };
   Rw rw_;
-  PerPid<typename Rw::Context> contexts_;
-  PerPid<Hold> holds_;
+  LentHold<Context> write_;
+  [[no_unique_address]] Context ctx_;
 };
 
-struct RwHandle {
-  std::unique_ptr<RwAny> rw;
-  park::TimedGate gate;
-};
-
-RwHandle* rw_impl_of(rl_rwlock_t* rw) {
-  return static_cast<RwHandle*>(rw->impl);
-}
+RwAny* rw_impl_of(rl_rwlock_t* rw) { return static_cast<RwAny*>(rw->impl); }
 
 template <RwPreference P, template <Resilience> class Cohort>
 RwAny* make_rw_variant(bool resilient, bool shielded) {
@@ -263,30 +254,30 @@ int rl_rwlock_init(rl_rwlock_t* rw, const char* preference,
   } else {
     return EINVAL;
   }
-  rw->impl = new RwHandle{std::unique_ptr<RwAny>(impl), {}};
+  rw->impl = impl;
   return 0;
 }
 
 int rl_rwlock_rdlock(rl_rwlock_t* rw) {
   if (rw == nullptr || rw->impl == nullptr) return EINVAL;
-  rw_impl_of(rw)->rw->rdlock();
+  rw_impl_of(rw)->rdlock();
   return 0;
 }
 
 int rl_rwlock_wrlock(rl_rwlock_t* rw) {
   if (rw == nullptr || rw->impl == nullptr) return EINVAL;
-  rw_impl_of(rw)->rw->wrlock();
+  rw_impl_of(rw)->wrlock();
   return 0;
 }
 
 int rl_rwlock_tryrdlock(rl_rwlock_t* rw) {
   if (rw == nullptr || rw->impl == nullptr) return EINVAL;
-  return rw_impl_of(rw)->rw->tryrdlock() ? 0 : EBUSY;
+  return rw_impl_of(rw)->tryrdlock() ? 0 : EBUSY;
 }
 
 int rl_rwlock_trywrlock(rl_rwlock_t* rw) {
   if (rw == nullptr || rw->impl == nullptr) return EINVAL;
-  return rw_impl_of(rw)->rw->trywrlock() ? 0 : EBUSY;
+  return rw_impl_of(rw)->trywrlock() ? 0 : EBUSY;
 }
 
 namespace {
@@ -306,20 +297,20 @@ int rw_timed(rl_rwlock_t* rw, const timespec* abstime, Try&& try_lock) {
 
 int rl_rwlock_timedrdlock(rl_rwlock_t* rw, const timespec* abstime) {
   return rw_timed(rw, abstime, [rw] {
-    return rw_impl_of(rw)->rw->tryrdlock();
+    return rw_impl_of(rw)->tryrdlock();
   });
 }
 
 int rl_rwlock_timedwrlock(rl_rwlock_t* rw, const timespec* abstime) {
   return rw_timed(rw, abstime, [rw] {
-    return rw_impl_of(rw)->rw->trywrlock();
+    return rw_impl_of(rw)->trywrlock();
   });
 }
 
 int rl_rwlock_unlock(rl_rwlock_t* rw) {
   if (rw == nullptr || rw->impl == nullptr) return EINVAL;
-  RwHandle* h = rw_impl_of(rw);
-  if (!h->rw->unlock()) return EPERM;
+  RwAny* h = rw_impl_of(rw);
+  if (!h->unlock()) return EPERM;
   h->gate.on_release();
   return 0;
 }

@@ -61,6 +61,9 @@
 #if RESILOCK_HAVE_FUTEX
 #include <pthread.h>
 #endif
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace resilock::park {
 
@@ -152,6 +155,16 @@ int cond_wait(CondWord& cw, Release&& release, Reacquire&& reacquire,
     bool armed = true;
     ~CancelExit() {
       if (!armed) return;
+#if defined(__SANITIZE_ADDRESS__)
+      // The cancel abandoned the sleep's frames below this one with
+      // their redzones still poisoned, and ASan's own no-return hook on
+      // the way out trips over them unless a later frame happens to
+      // overwrite them: clear the page below.
+      const auto fp = reinterpret_cast<std::uintptr_t>(
+          __builtin_frame_address(0));
+      __asan_unpoison_memory_region(reinterpret_cast<void*>(fp - 4096),
+                                    4096 + 64);
+#endif
       cond_detail::depart(cw);
       cond_signal(cw);
       reacquire();

@@ -264,7 +264,8 @@ class RwShield : public ShieldCore<Base, typename Base::Context> {
         if (misuse_checks_enabled()) return true;
         return base_release<M>(ctx);
       }
-      return base_release<M>(this->note_released(tbl, *h, M, ctx));
+      return this->release_hold(
+          tbl, *h, M, &ctx, [this](Context& c) { return base_release<M>(c); });
     }
     if (!misuse_checks_enabled()) {
       // §5 escape hatch: trust the caller, forward verbatim. The

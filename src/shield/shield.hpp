@@ -35,9 +35,10 @@
 // hand-off designs where one thread acquires and another releases work
 // exactly as they do on the unshielded lock.
 //
-// Shield<L> satisfies the same Lockable shape as L (PlainLock stays
-// plain, ContextLock keeps its Context), so it composes with LockGuard,
-// AnyLockAdapter, and the registry.
+// Shield<L> satisfies the same Lockable shape as L (a ContextLock keeps
+// its Context), and every shield is also a PlainLock through the lent
+// shape, so it composes with LockGuard, AnyLockAdapter, and the
+// registry.
 #pragma once
 
 #include <cstdint>
@@ -126,49 +127,30 @@ class Shield : public ShieldCore<Base> {
     return true;
   }
 
-  bool release(Context& ctx) {
-    auto& tbl = HeldLockTable::mine();
-    // A stale entry must not release a lock some other thread may now
-    // hold: confirm_held_or_heal() treats the call as a release of a
-    // lock the thread does not hold.
-    if (HeldLockTable::Hold* h = confirm_held_or_heal(tbl)) {
-      releases_.bump();
-      if (--h->depth > 0) return true;  // matching release of a relock
-      return generic_release(
-          base_, this->note_released(tbl, *h, AccessMode::kExclusive, ctx));
-    }
-    if (!misuse_checks_enabled()) {
-      // §5 escape hatch: trust the caller and behave like the base.
-      this->forget_owner();
-      return generic_release(base_, ctx);
-    }
-    if (this->refuse_release(this->classify_release(),
-                             AccessMode::kExclusive)) {
-      return false;  // suppressed
-    }
-    return generic_release(base_, ctx);  // kPassThrough: faithful
-  }
+  bool release(Context& ctx) { return release_with(&ctx); }
 
-  // PlainLock convenience overloads (the context is stateless).
-  void acquire()
-    requires(std::is_same_v<Context, NoContext>)
-  {
-    NoContext c;
-    acquire(c);
-  }
-  bool release()
-    requires(std::is_same_v<Context, NoContext>)
-  {
-    NoContext c;
-    return release(c);
+  // The lent shape, the type-erased adapter's: no context argument. A
+  // hold that reaches the base keeps a context lent from the thread's
+  // pool (core/context_pool.hpp) until the release that ends it; an
+  // absorbed relock hands it straight back. A release by a thread that
+  // holds nothing runs on a never-held context.
+  void acquire() {
+    Context& ctx = ContextPool<Context>::lend();
+    acquire(ctx);
+    this->keep_if_taken(ctx);
   }
   bool try_acquire()
-    requires(std::is_same_v<Context, NoContext> &&
-             generic_has_trylock<Base>())
+    requires(generic_has_trylock<Base>())
   {
-    NoContext c;
-    return try_acquire(c);
+    Context& ctx = ContextPool<Context>::lend();
+    if (!try_acquire(ctx)) {
+      ContextPool<Context>::reclaim(ctx);
+      return false;
+    }
+    this->keep_if_taken(ctx);
+    return true;
   }
+  bool release() { return release_with(nullptr); }
 
   ShieldSnapshot snapshot() const {
     ShieldSnapshot s;
@@ -189,6 +171,33 @@ class Shield : public ShieldCore<Base> {
   }
 
  private:
+  // `caller` null: the lent shape (see acquire()).
+  bool release_with(Context* caller) {
+    auto base_release = [this](Context& c) {
+      return generic_release(base_, c);
+    };
+    auto& tbl = HeldLockTable::mine();
+    // A stale entry must not release a lock some other thread may now
+    // hold: confirm_held_or_heal() treats the call as a release of a
+    // lock the thread does not hold.
+    if (HeldLockTable::Hold* h = confirm_held_or_heal(tbl)) {
+      releases_.bump();
+      if (--h->depth > 0) return true;  // matching release of a relock
+      return this->release_hold(tbl, *h, AccessMode::kExclusive, caller,
+                                base_release);
+    }
+    if (!misuse_checks_enabled()) {
+      // §5 escape hatch: trust the caller and behave like the base.
+      this->forget_owner();
+      return Core::release_unheld(caller, base_release);
+    }
+    if (this->refuse_release(this->classify_release(),
+                             AccessMode::kExclusive)) {
+      return false;  // suppressed
+    }
+    return Core::release_unheld(caller, base_release);  // faithful
+  }
+
   // The thread's entry for this lock, validated against the owner tag;
   // nullptr when the thread does not hold it. A held entry whose owner
   // tag names someone else means the lock left this thread through the

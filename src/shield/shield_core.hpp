@@ -17,6 +17,8 @@
 //     and the hold's one held-record entry (shield/held_lock_table.hpp),
 //     which lockdep and lockstat share. An acquire looks it up once (a
 //     fresh one is appended) and a release finds it once;
+//   * the hold's queue context: the caller's own, or one lent from the
+//     thread's ContextPool (core/context_pool.hpp) for the hold;
 //   * the verdict pipeline (apply_policy) and release classification.
 //
 // Rescue rule: an absorbed RELEASE-side misuse orphans the base's
@@ -27,14 +29,15 @@
 //
 // Layout: a lock hand-off costs the new holder the base's own lines
 // plus at most ONE more, the holder line right after base_: owner tags,
-// the context the base was acquired with, the lockdep class and its
-// key, and the acquisition / release tallies (plain stores, ordered by
-// the base). A base that claims whole cache lines (alignas) gets a
-// fresh line for it; a word-sized base (TAS) shares it, since its
-// holder writes that word anyway. Everything any other thread writes —
-// the waiter gauge that arriving threads bump, the policy, the verdict
-// and misuse counters — sits on the cold line(s) after it, so waiters
-// and a correct program's holders never write the same line.
+// the context the base was acquired with and whether the pool lent it,
+// the lockdep class and its key, and the acquisition / release tallies
+// (plain stores, ordered by the base). A base that claims whole cache
+// lines (alignas) gets a fresh line for it; a word-sized base (TAS)
+// shares it, since its holder writes that word anyway. Everything any
+// other thread writes — the waiter gauge that arriving threads bump,
+// the policy, the verdict and misuse counters — sits on the cold
+// line(s) after it, so waiters and a correct program's holders never
+// write the same line.
 //
 // A base with a ReadIndicator (the C-RW family, core/rw/crw.hpp) makes
 // this a read/write core: its trace events carry the hold mode and the
@@ -49,11 +52,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <type_traits>
 #include <utility>
 
 #include "core/access_mode.hpp"
 #include "core/contention.hpp"
+#include "core/context_pool.hpp"
 #include "core/generic.hpp"
 #include "core/resilience.hpp"
 #include "lockdep/class_key.hpp"
@@ -251,9 +254,12 @@ class ShieldCore {
     }
     if (mode != AccessMode::kRead) {
       owner_.store(me(), std::memory_order_relaxed);
-      // Throwaway NoContexts of plain locks are never retained; a real
-      // base context is what the release must hand back.
-      if constexpr (!std::is_same_v<Context, NoContext>) active_ctx_ = &ctx;
+      // A stateless context is never retained; a real base context is
+      // what the release must hand back (see keep_if_taken()).
+      if constexpr (!kStatelessContext<Context>) {
+        active_ctx_ = &ctx;
+        ctx_lent_ = false;
+      }
       acquisitions_.bump();
     }
     if (fresh) {
@@ -271,28 +277,58 @@ class ShieldCore {
     return false;
   }
 
-  // The balanced release of a base hold, just before the base's own
-  // release: closes the lockstat window of the thread's entry `h`
-  // (depth already 0) and drops the entry. Returns the context to
-  // release the base with: the one it was acquired with, even when an
-  // absorbed relock handed the caller a context the base never
-  // enqueued (self-deadlock bait).
-  Context& note_released(HeldLockTable& tbl, HeldLockTable::Hold& h,
-                         AccessMode mode, Context& ctx) {
+  // After an acquire of the lent shape, by the holder: a hold that took
+  // the lent `ctx` keeps it until its release reclaims it; an absorbed
+  // relock gives it back at once.
+  void keep_if_taken(Context& ctx) {
+    if constexpr (!kStatelessContext<Context>) {
+      if (active_ctx_ == &ctx) {
+        ctx_lent_ = true;
+      } else {
+        ContextPool<Context>::reclaim(ctx);
+      }
+    }
+  }
+
+  // The balanced release of a base hold: closes the lockstat window of
+  // the thread's entry `h` (depth already 0), drops the entry and runs
+  // the base release `op(ctx)`. On the exclusive / write side `ctx` is
+  // the context the base was acquired with — even when an absorbed
+  // relock handed the caller a context the base never enqueued
+  // (self-deadlock bait) — and a lent one goes back to the pool.
+  template <typename Op>
+  bool release_hold(HeldLockTable& tbl, HeldLockTable::Hold& h,
+                    AccessMode mode, Context* caller, Op&& op) {
     if (lockdep::span_tracing_enabled()) {
       emit_span(lockdep::EventKind::kHoldEnd, mode);
     }
     observe::on_released(h);
     tbl.erase(this, h);
-    if (mode == AccessMode::kRead) return ctx;
+    if (mode == AccessMode::kRead) return release_unheld(caller, op);
     last_owner_.store(me(), std::memory_order_relaxed);
     owner_.store(kNoOwner, std::memory_order_relaxed);
-    if constexpr (std::is_same_v<Context, NoContext>) {
-      return ctx;
+    if constexpr (kStatelessContext<Context>) {
+      return release_unheld(caller, op);
     } else {
-      Context* acquired_with = std::exchange(active_ctx_, nullptr);
-      return acquired_with != nullptr ? *acquired_with : ctx;
+      // Read before the base release: the next holder rewrites both.
+      Context* const acquired_with = std::exchange(active_ctx_, nullptr);
+      const bool lent = ctx_lent_;
+      if (acquired_with == nullptr) return release_unheld(caller, op);
+      const bool ok = op(*acquired_with);
+      if (lent) ContextPool<Context>::reclaim(*acquired_with);
+      return ok;
     }
+  }
+
+  // A base release that ends no hold of the caller's (a read release,
+  // a forwarded misuse, the §5 escape hatch): on the caller's context,
+  // or on a never-held one for the lent shape, so the damage stays on
+  // this lock. A hold that ends this way behind its owner's back leaves
+  // the owner's lent context lent (core/context_pool.hpp).
+  template <typename Op>
+  static bool release_unheld(Context* caller, Op&& op) {
+    if (caller != nullptr) return op(*caller);
+    return ContextPool<Context>::never_held(op);
   }
 
   // §5 escape hatch on the release side: a cross-thread release with
@@ -347,9 +383,11 @@ class ShieldCore {
   // keyed (the key owns a shared class).
   std::atomic<lockdep::ClassId> lockdep_class_{lockdep::kInvalidClass};
   const ClassMode class_mode_;
-  // Context the base was acquired with on the exclusive / write side.
-  // Only the owner touches it between the base acquire and the matching
-  // base release (guarded by base_); §5 hand-off releases bypass it.
+  // Context the base was acquired with on the exclusive / write side,
+  // and whether the pool lent it. Only the owner touches them between
+  // the base acquire and the matching base release (guarded by base_);
+  // §5 hand-off releases bypass them.
+  bool ctx_lent_ = false;
   Context* active_ctx_ = nullptr;
   // Exclusive / write-side base grants, and releases (incl. absorbed).
   Tally acquisitions_;

@@ -125,7 +125,7 @@ struct VerifyAccess {
   // ----- Cohort locks -----
   template <Resilience R, typename G, typename L>
   static L& cohort_local(CohortLock<R, G, L>& c, std::uint32_t domain) {
-    return c.domains_[domain]->local;
+    return c.domains_[domain].local;
   }
   template <Resilience R, typename G, typename L>
   static G& cohort_global(CohortLock<R, G, L>& c) {

@@ -80,11 +80,13 @@ const std::string& child_bin(const std::string& name) {
   static Built static_init = build("preload_static_init");
   static Built clock_child = build("preload_clock_child");
   static Built cond_child = build("preload_cond_child");
+  static Built manylocks = build("preload_manylocks");
   static const Built none{"", false};
   const Built& b = name == "preload_child"         ? child
                    : name == "preload_static_init" ? static_init
                    : name == "preload_clock_child" ? clock_child
                    : name == "preload_cond_child"  ? cond_child
+                   : name == "preload_manylocks"   ? manylocks
                                                    : none;
   EXPECT_TRUE(b.ok) << "failed to compile child " << name;
   return b.path;
@@ -299,4 +301,34 @@ TEST(PreloadE2E, ExitPathBroadcastFromPinnedThreadWakesWorkers) {
   EXPECT_EQ(r.exit_code, 0) << r.out;
   EXPECT_NE(r.out.find("exit-pool-started\n"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("exit-pool-joined=4\n"), std::string::npos) << r.out;
+}
+
+// A lock costs bytes, not kilobytes: 100k mutexes, or 20k rwlocks,
+// each adopted and locked once, stay under 60 MB of peak RSS for the
+// whole child — about 500 B per mutex and 2.5 KB per rwlock beyond the
+// process itself. Under ASan the child carries the sanitizer's
+// redzones and quarantine, so only the run itself is checked there.
+namespace {
+void expect_footprint(const std::string& mode) {
+  RunResult r = run("env " + preload_env() + " " +
+                    child_bin("preload_manylocks") + " " + mode);
+  ASSERT_EQ(r.exit_code, 0) << r.out;
+  const std::string key = mode + "-maxrss-kb=";
+  const std::size_t at = r.out.find(key);
+  ASSERT_NE(at, std::string::npos) << r.out;
+  const long kb = std::strtol(r.out.c_str() + at + key.size(), nullptr, 10);
+#ifndef PRELOAD_ASAN_RUNTIME
+  EXPECT_LT(kb, 60L * 1024) << mode << " peak RSS " << kb << " KB";
+#else
+  EXPECT_GT(kb, 0L);
+#endif
+}
+}  // namespace
+
+TEST(PreloadE2E, HundredThousandMutexesStayUnderSixtyMegabytes) {
+  expect_footprint("mutex");
+}
+
+TEST(PreloadE2E, TwentyThousandRwlocksStayUnderSixtyMegabytes) {
+  expect_footprint("rwlock");
 }
