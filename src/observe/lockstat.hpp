@@ -21,7 +21,7 @@
 // Gating: everything above is behind lockstat_enabled() — one relaxed
 // flag load on the acquire paths, the exact pattern span tracing set
 // (RESILOCK_LOCKSTAT env seed, set_lockstat()/LockstatGuard at
-// runtime). A release only reads its held-record entry's window field,
+// runtime). A release only reads its held-record entry's timed part,
 // which the shield has at hand. Off (the default), the uncontended
 // fast path is the pre-lockstat code.
 //
@@ -325,58 +325,57 @@ inline void on_contended_wait(lockdep::ClassId cls,
 }
 
 // A fresh base acquisition completed (blocking or try path). Tallies
-// the acquisition under its call site and mode (one exact counter),
-// and — for 1-in-lockstat_sample() acquisitions per thread —
-// opens a timed hold window in the lock's held-record entry `h` (its
-// lockstat part). The decimation counter is per-thread and shared
-// across classes, so a hot class is sampled at the configured rate
-// regardless of what else the thread locks. Per-thread windows are
-// what rw read holds, with many simultaneous holders, need; the record
-// keeps one at any nesting depth.
-inline void on_acquired(lockdep::Hold& h, lockdep::ClassId cls,
-                        AccessMode mode, const void* site) {
+// the acquisition under its call site and mode (one exact counter) and
+// says whether this hold's window is sampled: 1-in-lockstat_sample()
+// acquisitions per thread. The decimation counter is per-thread and
+// shared across classes, so a hot class is sampled at the configured
+// rate regardless of what else the thread locks. The window itself
+// lives in the hold's held-record entry (its timed part), where a
+// traced hold's record shares its two timestamps; per-thread windows
+// are what rw read holds, with many simultaneous holders, need.
+inline bool on_acquired(lockdep::ClassId cls, AccessMode mode,
+                        const void* site) {
   ClassStats* s = LockStat::instance().stats_for(cls);
-  if (s == nullptr) return;
+  if (s == nullptr) return false;
   s->sites.record(site, static_cast<std::size_t>(mode));
   const std::uint32_t mask =
       detail::sample_mask_flag().load(std::memory_order_relaxed);
   thread_local std::uint32_t decimate = 0;
-  if (mask == 0 || (++decimate & mask) == 0) {
-    h.cls = cls;
-    // 0 means "not sampled"; the low bit costs at most 1 ns.
-    h.hold_begin_ns = runtime::now_ns_fast() | 1;
-  }
+  return mask == 0 || (++decimate & mask) == 0;
 }
 
-// The same by lock pointer: a sampled window goes into `lock`'s entry,
-// which is added (lockstat part only) when the lock has none.
+// A sampled hold window of class `cls` closed: `begin_ns` .. `end_ns`,
+// two runtime::now_ns_fast() readings. Not gated on lockstat_enabled():
+// a window opened while it was on still closes.
+inline void on_hold_window(lockdep::ClassId cls, std::uint64_t begin_ns,
+                           std::uint64_t end_ns) {
+  ClassStats* s = LockStat::instance().peek(cls);
+  if (s == nullptr) return;
+  s->hold.record(end_ns > begin_ns ? end_ns - begin_ns : 0);
+}
+
+// The same by lock pointer, for a lock with no shield entry: a sampled
+// window goes into `lock`'s entry, which is added (timed part only)
+// when the lock has none.
 inline void on_acquired(const void* lock, lockdep::ClassId cls,
                         AccessMode mode, const void* site) {
-  lockdep::Hold window;
-  on_acquired(window, cls, mode, site);
-  if (window.hold_begin_ns == 0) return;
+  if (!on_acquired(cls, mode, site)) return;
   lockdep::Hold& h = shield::HeldLockTable::mine().entry(lock);
-  h.cls = window.cls;
-  h.hold_begin_ns = window.hold_begin_ns;
+  h.cls = cls;
+  h.sampled = true;
+  // 0 means "not timed"; the low bit costs at most 1 ns.
+  h.hold_begin_ns = runtime::now_ns_fast() | 1;
 }
 
-// The balanced release of a fresh acquisition: closes the hold window
-// if on_acquired sampled one (no timestamp otherwise). Not gated on
-// lockstat_enabled(): a window opened while it was on still closes.
-inline void on_released(lockdep::Hold& h) {
-  if (h.hold_begin_ns == 0) return;
-  const std::uint64_t begin = std::exchange(h.hold_begin_ns, 0);
-  ClassStats* s = LockStat::instance().peek(h.cls);
-  if (s == nullptr) return;
-  const std::uint64_t now = runtime::now_ns_fast();
-  s->hold.record(now > begin ? now - begin : 0);
-}
-
+// Closes `lock`'s sampled window, if on_acquired opened one, and drops
+// the entry when nothing else is left in it.
 inline void on_released(const void* lock) {
   shield::HeldLockTable& tbl = shield::HeldLockTable::mine();
   lockdep::Hold* h = tbl.find(lock);
-  if (h == nullptr) return;
-  on_released(*h);
+  if (h == nullptr || !h->sampled) return;
+  h->sampled = false;
+  on_hold_window(h->cls, h->hold_begin_ns, runtime::now_ns_fast());
+  h->hold_begin_ns = 0;
   if (h->empty()) tbl.erase(lock, *h);
 }
 

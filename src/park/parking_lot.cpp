@@ -13,13 +13,16 @@ namespace resilock::park {
 
 namespace {
 
-// kParkBegin/kParkEnd span markers around a kernel sleep. The wait
-// word's address stands in as the "lock" identity (one waiter, one
-// word, one span track) and the shield-stamped class hint rides as
-// the class tag so offline reports can group parks by lock class.
-inline void emit_park_span(lockdep::EventKind kind, const void* word,
-                           std::uint32_t cls_hint) {
-  lockdep::TraceBuffer::instance().emit(kind, word, cls_hint);
+// The park record of one kernel sleep, from the timestamps the park
+// loop takes for its tally. The wait word's address stands in as the
+// "lock" identity (one waiter, one word, one track) and the
+// shield-stamped class hint rides as the class tag so offline reports
+// can group parks by lock class.
+inline void emit_park_record(const void* word, std::uint32_t cls_hint,
+                             std::uint64_t t0, std::uint64_t t1) {
+  lockdep::TraceBuffer::instance().emit_record(
+      lockdep::EventKind::kPark, word, cls_hint, lockdep::kNoMode, 0, t0,
+      t1);
 }
 
 }  // namespace
@@ -122,21 +125,15 @@ std::uint32_t wait_word(std::atomic<std::uint32_t>& word,
     // previous round after a rescue wake); the releaser's exchange
     // will see it and futex_wake.
     const bool trace = lockdep::span_tracing_enabled();
-    const std::uint64_t t0 = runtime::now_ns();
-    if (trace) {
-      emit_park_span(lockdep::EventKind::kParkBegin, &word,
-                     tally.cls_hint);
-    }
+    const std::uint64_t t0 = runtime::now_ns_fast();
     bay->note_parked();
     g.currently_parked.fetch_add(1, std::memory_order_relaxed);
     const WaitResult r = futex_wait(&word, kWordParked, nullptr);
     g.currently_parked.fetch_sub(1, std::memory_order_relaxed);
     bay->note_unparked();
-    const std::uint64_t dt = runtime::now_ns() - t0;
-    if (trace) {
-      emit_park_span(lockdep::EventKind::kParkEnd, &word,
-                     tally.cls_hint);
-    }
+    const std::uint64_t t1 = runtime::now_ns_fast();
+    const std::uint64_t dt = t1 - t0;
+    if (trace) emit_park_record(&word, tally.cls_hint, t0, t1);
     // kValueChanged never slept (the hand-off raced ahead of the
     // syscall) — not a park, just a cheap detour through the kernel.
     const bool slept = r != WaitResult::kValueChanged;
@@ -176,11 +173,7 @@ bool park_until(const std::atomic<std::uint32_t>& word,
     return false;
   }
   const bool trace = lockdep::span_tracing_enabled();
-  const std::uint64_t t0 = runtime::now_ns();
-  if (trace) {
-    emit_park_span(lockdep::EventKind::kParkBegin, &word,
-                   tally.cls_hint);
-  }
+  const std::uint64_t t0 = runtime::now_ns_fast();
   g.currently_parked.fetch_add(1, std::memory_order_relaxed);
   // The deadline goes to the kernel (or the fallback's monotonic
   // condvar) ABSOLUTE — not re-derived as a relative duration — so
@@ -188,10 +181,9 @@ bool park_until(const std::atomic<std::uint32_t>& word,
   // trips precede it.
   const WaitResult r = futex_wait_until(&word, expected, deadline_ns);
   g.currently_parked.fetch_sub(1, std::memory_order_relaxed);
-  const std::uint64_t dt = runtime::now_ns() - t0;
-  if (trace) {
-    emit_park_span(lockdep::EventKind::kParkEnd, &word, tally.cls_hint);
-  }
+  const std::uint64_t t1 = runtime::now_ns_fast();
+  const std::uint64_t dt = t1 - t0;
+  if (trace) emit_park_record(&word, tally.cls_hint, t0, t1);
   if (r != WaitResult::kValueChanged) {
     tally.parks += 1;
     tally.park_ns += dt;

@@ -43,7 +43,7 @@
 // Instead each park is tallied in a thread-local ThreadParkTally; the
 // shield stamps the tally's cls_hint around the contended acquire and
 // snapshots the delta into observe::on_parked afterwards. The same
-// hint rides on kParkBegin/kParkEnd trace spans (emitted when
+// hint rides on kPark trace records (emitted when
 // RESILOCK_TELEMETRY_SPANS is on) so offline reports can rebuild the
 // per-class park table from a trace alone.
 #pragma once
@@ -188,7 +188,7 @@ struct ThreadParkTally {
   std::uint64_t wakes = 0;
   // Lockdep class of the acquire in progress; stamped by the shield
   // around the contended window, kNoClsHint otherwise. Rides on
-  // kParkBegin/kParkEnd trace spans as the class tag.
+  // kPark trace records as the class tag.
   std::uint32_t cls_hint = kNoClsHint;
 
   static ThreadParkTally& mine() noexcept {

@@ -13,39 +13,74 @@ inline std::uint64_t now_ns() noexcept {
           .count());
 }
 
-// Cheap timestamp for hot-path telemetry (lockstat hold windows): on
-// x86-64, rdtsc scaled by a once-calibrated tick period (~6 ns vs
-// ~25 ns for the vDSO clock); elsewhere, now_ns(). The epoch differs
-// from now_ns() — only DIFFERENCES of two now_ns_fast() readings are
-// meaningful, accurate to the calibration error (<0.1% over a 2 ms
-// window; modern x86 has constant_tsc so the rate holds across cores
-// and frequency scaling).
+// Cheap timestamp for hot-path telemetry (lockstat windows, trace
+// records): on x86-64, rdtsc scaled by a once-calibrated tick period
+// (~6 ns vs ~25 ns for the vDSO clock on good hardware); elsewhere,
+// now_ns(). The calibration also fixes an offset, so a reading starts
+// out on now_ns()'s epoch; the two clocks then drift apart by the rate
+// error (<0.1%; modern x86 has constant_tsc so the rate holds across
+// cores and frequency scaling). Mix readings of one clock or the
+// other, never both: every trace timestamp comes from this one.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 namespace detail {
-// ns-per-tick in 32.32 fixed point, calibrated once against the
-// steady clock; the per-call conversion is one 64x64->128 multiply.
-inline std::uint64_t tsc_ns_mult() noexcept {
-  static const std::uint64_t mult = [] {
-    const std::uint64_t t0 = now_ns();
+struct TscScale {
+  std::uint64_t mult;    // ns per tick, 32.32 fixed point
+  std::uint64_t offset;  // added (mod 2^64) to reach now_ns()'s epoch
+};
+
+// One (steady ns, tick) pair: the tick reading is the midpoint of two
+// that bracket the clock read, and of a few tries the tightest bracket
+// wins, so a preemption inside one try does not skew the pair.
+struct ClockPair {
+  std::uint64_t ns;
+  std::uint64_t tick;
+};
+inline ClockPair clock_pair() noexcept {
+  ClockPair best{0, 0};
+  std::uint64_t best_gap = ~std::uint64_t{0};
+  for (int i = 0; i < 5; ++i) {
     const std::uint64_t c0 = __builtin_ia32_rdtsc();
-    while (now_ns() - t0 < 2000000) {  // 2 ms calibration spin
-    }
-    const std::uint64_t t1 = now_ns();
+    const std::uint64_t t = now_ns();
     const std::uint64_t c1 = __builtin_ia32_rdtsc();
-    if (c1 <= c0) return std::uint64_t{1} << 32;  // 1 ns/tick fallback
-    return static_cast<std::uint64_t>(
-        static_cast<double>(t1 - t0) / static_cast<double>(c1 - c0) *
-        4294967296.0);
+    if (c1 - c0 < best_gap) {
+      best_gap = c1 - c0;
+      best = {t, c0 + (c1 - c0) / 2};
+    }
+  }
+  return best;
+}
+
+// Calibrated once against the steady clock over a 250 us window (the
+// first caller waits it out); the per-call conversion is one 64x64->128
+// multiply and an add.
+inline const TscScale& tsc_scale() noexcept {
+  static const TscScale scale = [] {
+    const ClockPair a = clock_pair();
+    while (now_ns() - a.ns < 250000) {
+    }
+    const ClockPair b = clock_pair();
+    TscScale s{std::uint64_t{1} << 32, 0};  // 1 ns/tick fallback
+    if (b.tick > a.tick) {
+      s.mult = static_cast<std::uint64_t>(static_cast<double>(b.ns - a.ns) /
+                                          static_cast<double>(b.tick - a.tick) *
+                                          4294967296.0);
+    }
+    s.offset = b.ns - static_cast<std::uint64_t>(
+                          (static_cast<unsigned __int128>(b.tick) * s.mult) >>
+                          32);
+    return s;
   }();
-  return mult;
+  return scale;
 }
 }  // namespace detail
 
 inline std::uint64_t now_ns_fast() noexcept {
+  const detail::TscScale& s = detail::tsc_scale();
   return static_cast<std::uint64_t>(
-      (static_cast<unsigned __int128>(__builtin_ia32_rdtsc()) *
-       detail::tsc_ns_mult()) >>
-      32);
+             (static_cast<unsigned __int128>(__builtin_ia32_rdtsc()) *
+              s.mult) >>
+             32) +
+         s.offset;
 }
 #else
 inline std::uint64_t now_ns_fast() noexcept { return now_ns(); }

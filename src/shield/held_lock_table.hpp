@@ -30,8 +30,12 @@
 //     combinator's lockdep-only level entry, which holds() ignores;
 //   * lockdep's (lockdep/lockdep.hpp): `ordered`, the class and the
 //     class's hand-off epoch — the entry sources order edges while set;
-//   * lockstat's (observe/lockstat.hpp): the sampled hold-begin time, 0
-//     when this hold is not sampled. It reuses `cls`, the lock's class.
+//   * the timed part, shared by lockstat (observe/lockstat.hpp) and the
+//     telemetry hold record (shield_core.hpp): the hold's begin time,
+//     0 when nothing times this hold, and who reads it at the release —
+//     lockstat's sampled window (`sampled`, which reuses `cls`, the
+//     lock's class) and/or the trace record (`traced`, with the
+//     acquisition call site). One timestamp at each end serves both.
 // A layer clears only its own part; an entry with no part left is
 // dropped at once, so the record never stores an empty entry.
 #pragma once
@@ -68,7 +72,10 @@ class HeldLockTable {
     std::uint32_t epoch = 0;
     AccessMode mode = AccessMode::kExclusive;
     bool ordered = false;
+    bool sampled = false;
+    bool traced = false;
     std::uint64_t hold_begin_ns = 0;
+    std::uint64_t site = 0;
 
     bool empty() const {
       return depth == 0 && !ordered && hold_begin_ns == 0;

@@ -30,8 +30,8 @@
 //       indicator that contains the caller itself)
 //
 // RwShield is the read/write user of ShieldCore (shield_core.hpp), the
-// pipeline it shares with Shield<L>: verdicts, lockdep, lockstat,
-// spans, the contended-wait bracket and the rescue wake run there. The
+// pipeline it shares with Shield<L>: verdicts, lockdep, lockstat, trace
+// records, the contended-wait bracket and the rescue wake run there. The
 // rw contention signal is live blocked writers PLUS the ReadIndicator's
 // reader estimate. Lockdep sees read acquisitions as AccessMode::kRead
 // and write acquisitions as kWrite, so R–R dependencies are edge-free

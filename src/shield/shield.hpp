@@ -15,9 +15,9 @@
 // Shield<L> is the single-mode (kExclusive) user of ShieldCore
 // (shield_core.hpp), which runs the whole pipeline: interception,
 // verdicts (policy.hpp, response engine), lockdep order edges, lockstat,
-// spans, the contended-wait bracket and the rescue wake. What stays
-// here is the exclusive protocol's own call shape and one rule of its
-// own: a held-record entry whose owner tag names another thread is
+// trace records, the contended-wait bracket and the rescue wake. What
+// stays here is the exclusive protocol's own call shape and one rule of
+// its own: a held-record entry whose owner tag names another thread is
 // stale (the lock left through the §5 escape hatch) and self-heals.
 //
 // Interception map (policy decides the consequence):

@@ -11,9 +11,9 @@
 //     entry already holds the lock: same mode -> kReentrantRelock,
 //     other mode -> kRwModeMismatch, absorbed as a recursion-depth bump;
 //   * the contended-wait bracket around a blocking base operation,
-//     passed in as a callable: waiter gauge, wait spans, lockstat wait
+//     passed in as a callable: waiter gauge, wait records, lockstat wait
 //     time, and park-tally attribution to the lockdep class;
-//   * acquired/released bookkeeping: owner tags, hold spans, counters,
+//   * acquired/released bookkeeping: owner tags, hold records, counters,
 //     and the hold's one held-record entry (shield/held_lock_table.hpp),
 //     which lockdep and lockstat share. An acquire looks it up once (a
 //     fresh one is appended) and a release finds it once;
@@ -263,12 +263,9 @@ class ShieldCore {
       acquisitions_.bump();
     }
     if (fresh) {
-      if (observe::lockstat_enabled()) {
-        observe::on_acquired(*h, ensure_class(), mode, site);
-      }
-      if (lockdep::span_tracing_enabled()) {
-        emit_span(lockdep::EventKind::kHoldBegin, mode, site);
-      }
+      const bool lockstat = observe::lockstat_enabled();
+      const bool traced = lockdep::span_tracing_enabled();
+      if (lockstat || traced) open_hold(*h, mode, site, lockstat, traced);
     }
   }
 
@@ -290,19 +287,16 @@ class ShieldCore {
     }
   }
 
-  // The balanced release of a base hold: closes the lockstat window of
-  // the thread's entry `h` (depth already 0), drops the entry and runs
-  // the base release `op(ctx)`. On the exclusive / write side `ctx` is
+  // The balanced release of a base hold: closes the timed part of the
+  // thread's entry `h` (depth already 0), drops the entry and runs the
+  // base release `op(ctx)`. On the exclusive / write side `ctx` is
   // the context the base was acquired with — even when an absorbed
   // relock handed the caller a context the base never enqueued
   // (self-deadlock bait) — and a lent one goes back to the pool.
   template <typename Op>
   bool release_hold(HeldLockTable& tbl, HeldLockTable::Hold& h,
                     AccessMode mode, Context* caller, Op&& op) {
-    if (lockdep::span_tracing_enabled()) {
-      emit_span(lockdep::EventKind::kHoldEnd, mode);
-    }
-    observe::on_released(h);
+    if (h.hold_begin_ns != 0) close_hold(h, mode);
     tbl.erase(this, h);
     if (mode == AccessMode::kRead) return release_unheld(caller, op);
     last_owner_.store(me(), std::memory_order_relaxed);
@@ -487,50 +481,79 @@ class ShieldCore {
                                 owned_by_other(), mode);
   }
 
-  // The contended window of a blocking acquire: the waiter gauge, wait
-  // spans (opt-in) and lockstat wait time. The park layer sits below
-  // observe/ and cannot name lockdep classes, so the class is stamped
-  // into the thread's park tally for the window (it rides on kParkBegin
-  // spans) and the tally delta is credited to the class afterwards.
+  // The contended window of a blocking acquire: the waiter gauge, its
+  // wait record (opt-in) and lockstat wait time, which share the two
+  // timestamps. The park layer sits below observe/ and cannot name
+  // lockdep classes, so the class is stamped into the thread's park
+  // tally for the window (it rides on park records) and the tally delta
+  // is credited to the class afterwards.
   template <typename Op>
   void wait_bracket(AccessMode mode, const void* site, Op& op) {
     const bool lockstat = observe::lockstat_enabled();
     const bool span = lockdep::span_tracing_enabled();
-    const std::uint64_t wait_t0 = lockstat ? runtime::now_ns() : 0;
-    if (span) emit_span(lockdep::EventKind::kWaitBegin, mode, site);
-    contention_.begin_wait();
-    if (lockstat || span) {
-      park::ThreadParkTally& pt = park::ThreadParkTally::mine();
-      const park::ThreadParkTally before = pt;
-      pt.cls_hint = ensure_class();
+    if (!lockstat && !span) {
+      contention_.begin_wait();
       op();
-      pt.cls_hint = before.cls_hint;
-      if (lockstat && pt.parks != before.parks) {
-        observe::on_parked(ensure_class(), pt.parks - before.parks,
+      contention_.end_wait();
+      return;
+    }
+    const std::uint64_t t0 = runtime::now_ns_fast();
+    contention_.begin_wait();
+    park::ThreadParkTally& pt = park::ThreadParkTally::mine();
+    const park::ThreadParkTally before = pt;
+    const lockdep::ClassId cls = ensure_class();
+    pt.cls_hint = cls;
+    op();
+    pt.cls_hint = before.cls_hint;
+    contention_.end_wait();
+    const std::uint64_t t1 = runtime::now_ns_fast();
+    if (span) {
+      lockdep::TraceBuffer::instance().emit_record(
+          lockdep::EventKind::kWait, this, cls, trace_mode(mode),
+          reinterpret_cast<std::uint64_t>(site), t0, t1);
+    }
+    if (lockstat) {
+      if (pt.parks != before.parks) {
+        observe::on_parked(cls, pt.parks - before.parks,
                            pt.park_ns - before.park_ns,
                            pt.wakes - before.wakes);
       }
-    } else {
-      op();
-    }
-    contention_.end_wait();
-    if (span) emit_span(lockdep::EventKind::kWaitEnd, mode, site);
-    if (lockstat) {
-      observe::on_contended_wait(ensure_class(),
-                                 runtime::now_ns() - wait_t0);
+      observe::on_contended_wait(cls, t1 - t0);
     }
   }
 
-  // Hold/wait span marker for the telemetry timeline (paired into
-  // slices by the perfetto sink). The class tag groups traces by lock
-  // class; the acquisition call site, when lockstat captured one, rides
-  // to the exporters.
-  void emit_span(lockdep::EventKind kind, AccessMode mode,
-                 const void* site = nullptr) {
-    lockdep::TraceBuffer::instance().emit(
-        kind, this, lockdep_class_.load(std::memory_order_relaxed),
-        lockdep::kNoClassTag, lockdep::kNoVerdict, trace_mode(mode), 0,
-        reinterpret_cast<std::uint64_t>(site));
+  // Times a fresh hold for lockstat's sampled window and/or its trace
+  // record: one timestamp here and one in close_hold(), whoever reads
+  // them. The acquisition tally is exact; only the window is sampled.
+  void open_hold(HeldLockTable::Hold& h, AccessMode mode, const void* site,
+                 bool lockstat, bool traced) {
+    bool sampled = false;
+    if (lockstat) {
+      const lockdep::ClassId cls = ensure_class();
+      sampled = observe::on_acquired(cls, mode, site);
+      if (sampled) h.cls = cls;
+    }
+    if (!sampled && !traced) return;
+    h.sampled = sampled;
+    h.traced = traced;
+    h.site = reinterpret_cast<std::uint64_t>(site);
+    // 0 means "not timed"; the low bit costs at most 1 ns.
+    h.hold_begin_ns = runtime::now_ns_fast() | 1;
+  }
+
+  // The balanced release of a timed hold: lockstat's window and the
+  // hold record (lock-hold slice), from one end timestamp. A hold that
+  // ends behind its owner's back (§5 hand-off, stale-entry self-heal)
+  // never gets here, so it records neither.
+  void close_hold(const HeldLockTable::Hold& h, AccessMode mode) {
+    const std::uint64_t end = runtime::now_ns_fast();
+    if (h.sampled) observe::on_hold_window(h.cls, h.hold_begin_ns, end);
+    if (h.traced) {
+      lockdep::TraceBuffer::instance().emit_record(
+          lockdep::EventKind::kHold, this,
+          lockdep_class_.load(std::memory_order_relaxed), trace_mode(mode),
+          h.site, h.hold_begin_ns, end);
+    }
   }
 
   // Lazily registers the lockdep class for the chosen ClassMode. Racing

@@ -25,16 +25,8 @@ namespace {
 // process to ~200 wakeups/sec worst case, near zero once backed off.
 constexpr std::uint64_t kMinSleepUs = 50;
 constexpr std::uint64_t kMaxSleepUs = 5000;
-// A cycle that pulls this many events means producers are hot: skip
-// the sleep entirely and re-drain ("drain hard when they fill").
-constexpr std::size_t kHardBatch = 1024;
 
 std::atomic<bool> g_hook_fired{false};
-
-// Both only touched by the thread running Collector's constructor
-// (the magic-static guard serializes initializers).
-bool g_in_ctor = false;
-bool g_autostart_pending = false;
 
 }  // namespace
 
@@ -82,19 +74,21 @@ struct Collector::Impl {
   // One drain of every ring into every sink, one flush per sink.
   // With no sinks attached the rings are left untouched so the atexit
   // JSONL exporter (and the abort-flush fallback) still find the
-  // events.
-  std::size_t drain_cycle() {
+  // events. `pressed`: some ring was at least half full (its producer
+  // is outrunning the duty cycle).
+  std::size_t drain_cycle(bool* pressed = nullptr) {
     std::lock_guard<std::mutex> lk(sink_mu);
     if (sinks.empty()) return 0;
+    std::size_t seen = 0;  // events and drop records
     const std::size_t n = lockdep::TraceBuffer::instance().drain(
-        [this](const lockdep::TraceEvent& e) {
+        [this, &seen](const lockdep::TraceEvent& e) {
+          ++seen;
           for (auto& s : sinks) s->consume(e);
-        });
+        },
+        pressed);
     drain_cycles.fetch_add(1, std::memory_order_relaxed);
-    if (n == 0) {
-      empty_cycles.fetch_add(1, std::memory_order_relaxed);
-      return 0;
-    }
+    if (n == 0) empty_cycles.fetch_add(1, std::memory_order_relaxed);
+    if (seen == 0) return 0;
     delivered.fetch_add(n, std::memory_order_relaxed);
     std::uint64_t w = 0;
     for (auto& s : sinks) {
@@ -142,13 +136,14 @@ struct Collector::Impl {
     interpose::preload_pin_thread();
     std::uint64_t cur_sleep = kMinSleepUs;
     for (;;) {
-      const std::size_t n = drain_cycle();
+      bool pressed = false;
+      const std::size_t n = drain_cycle(&pressed);
       maybe_dump_metrics(false);
       maybe_dump_lockstat(false);
       if (stop_word.load(std::memory_order_acquire) != 0) return;
-      if (n >= kHardBatch) {
-        // Producers are outrunning the cycle; drain back-to-back
-        // until the batch thins out.
+      if (pressed) {
+        // A ring was half full or dropping: producers are outrunning
+        // the cycle; drain back-to-back until every ring thins out.
         hard_drains.fetch_add(1, std::memory_order_relaxed);
         cur_sleep = kMinSleepUs;
         sleep_us.store(cur_sleep, std::memory_order_relaxed);
@@ -172,18 +167,10 @@ Collector& Collector::instance() {
 Collector::Collector() : impl_(new Impl) {
   // Pin destruction order: everything the worker and the final drain
   // touch (rings, the class table for JSONL labels) must be
-  // constructed — hence destroyed after — this singleton. Claiming the
-  // rings first would normally fire telemetry_first_use_hook, whose
-  // autostart would recurse into the Collector magic-static mid-
-  // construction; g_in_ctor defers that start to the end of the ctor.
-  g_in_ctor = true;
+  // constructed — hence destroyed after — this singleton. Neither
+  // touch fires the first-use hook (a ring's first allocation does).
   lockdep::TraceBuffer::instance();
   lockdep::Graph::instance();
-  g_in_ctor = false;
-  if (g_autostart_pending) {
-    g_autostart_pending = false;
-    start();
-  }
 }
 
 Collector::~Collector() {
@@ -299,13 +286,6 @@ void autostart_from_env() {
   if (!platform::env_flag("RESILOCK_TELEMETRY", false) && !lockstat) {
     return;
   }
-  if (g_in_ctor) {
-    // Collector's constructor is on the stack (it touches the rings,
-    // which fire the first-use hook, which lands here); entering
-    // instance() again would deadlock on the magic-static guard.
-    g_autostart_pending = true;
-    return;
-  }
   Collector::instance().start();
 }
 
@@ -332,9 +312,9 @@ void flush_for_abort() {
 
 namespace resilock::lockdep {
 
-// Called from TraceBuffer::instance() — i.e. on the first trace
-// emission (or any other first touch of the rings). Exchange-after-
-// load keeps the hot path to one acquire load once fired.
+// Called when a ring is first allocated — i.e. on a thread's first
+// trace emission. Exchange-after-load keeps later calls to one acquire
+// load once fired.
 void telemetry_first_use_hook() {
   if (g_hook_fired.load(std::memory_order_acquire)) return;
   if (g_hook_fired.exchange(true, std::memory_order_acq_rel)) return;

@@ -11,8 +11,10 @@
 //                   costs a few hundred wakeups/sec at worst, and
 //                   near-zero once backed off;
 //   busy drain   -> sleep resets to the 50us floor;
-//   full batch   -> no sleep at all; re-drain immediately until the
-//                   producers stop outrunning us ("drain hard").
+//   hard drain   -> a ring was at least half full (against its own
+//                   capacity) or dropped: no sleep at all; re-drain
+//                   immediately until the producers stop outrunning
+//                   us ("drain hard").
 //
 // Every drained event goes to each attached sink (sink.hpp) inside
 // one buffered write cycle; sinks are flushed once per cycle, so disk
@@ -20,11 +22,12 @@
 // the collector — when they outrun it, rings drop the newest events
 // and COUNT them; the collector surfaces those counts (and its own
 // delivery counters) through stats(), which the metrics registry
-// snapshots. Accounting is exact: emitted == delivered + dropped +
-// still-queued, and after a final drain the queue term is zero.
+// snapshots, and into the trace itself as drop records. Accounting is
+// exact: emitted == delivered + dropped + still-queued, and after a
+// final drain the queue term is zero.
 //
-// Lifecycle: start() is lazy and idempotent — called on the first
-// trace emission via lockdep::telemetry_first_use_hook() when
+// Lifecycle: start() is lazy and idempotent — called on a ring's first
+// allocation via lockdep::telemetry_first_use_hook() when
 // RESILOCK_TELEMETRY=1 (or explicitly by embedders). stop() requests,
 // joins, runs a final drain, and CLOSES the sinks so single-document
 // formats (perfetto) are finalized; a subsequent start() rebuilds the
@@ -49,7 +52,7 @@ struct CollectorStats {
   std::uint64_t events_emitted = 0;    // TraceBuffer emit attempts
   std::uint64_t drain_cycles = 0;
   std::uint64_t empty_cycles = 0;
-  std::uint64_t hard_drains = 0;       // full-batch cycles, slept 0
+  std::uint64_t hard_drains = 0;       // pressed cycles, slept 0
   std::uint64_t sleep_us = 0;          // current adaptive sleep (gauge)
   std::uint64_t metrics_dumps = 0;
   std::uint64_t lockstat_dumps = 0;    // periodic + signal-triggered

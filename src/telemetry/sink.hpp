@@ -6,13 +6,14 @@
 //
 //   jsonl     one JSON object per line, append-mode — the same schema
 //             as trace_export (the formatter IS trace_export's
-//             write_event_jsonl, so the two cannot drift). Greppable,
-//             concatenates across runs.
+//             JsonlWriter, so the two cannot drift), opened by a schema
+//             version line. Greppable, concatenates across runs.
 //   perfetto  a chrome-trace JSON document ({"traceEvents":[...]})
-//             loadable in chrome://tracing and ui.perfetto.dev:
-//             misuse / inversion / cycle reports as instant events and
-//             — with RESILOCK_TELEMETRY_SPANS on — lock-hold and
-//             contention-wait spans as complete ("X") slices, all on
+//             loadable in chrome://tracing and ui.perfetto.dev, with a
+//             "trace_schema" metadata entry: misuse / inversion / cycle
+//             reports and drop records as instant events and — with
+//             RESILOCK_TELEMETRY_SPANS on — lock-hold, contention-wait
+//             and park records as complete ("X") slices, all on
 //             per-thread tracks. Unlike JSONL it is a single document:
 //             the file is only valid after close(), which is why the
 //             collector closes sinks on stop and why the abort-flush
@@ -42,7 +43,8 @@ class Sink {
   // but the filesystem.
   virtual void consume(const lockdep::TraceEvent& e) = 0;
 
-  // Push buffered bytes to the OS (end of a drain cycle).
+  // Push buffered bytes to the OS (end of a drain cycle; anything a
+  // sink caches per cycle, such as resolved labels, is dropped here).
   virtual void flush() = 0;
 
   // Finalize the artifact (write the document tail, fclose). The sink

@@ -1,10 +1,8 @@
 #include "telemetry/sink.hpp"
 
 #include <cstdio>
-#include <map>
 #include <set>
 #include <string_view>
-#include <tuple>
 #include <utility>
 
 #include "core/access_mode.hpp"
@@ -61,31 +59,42 @@ std::FILE* open_buffered(const char* path, const char* mode,
 }
 
 // ---------------------------------------------------------------------
-// JSONL: trace_export's line schema, streamed instead of atexit-dumped.
+// JSONL: trace_export's line formatter, streamed instead of
+// atexit-dumped. Class labels are resolved once per drain cycle.
 // ---------------------------------------------------------------------
 
 class JsonlSink final : public FileSink {
  public:
-  using FileSink::FileSink;
+  JsonlSink(std::FILE* f, std::unique_ptr<char[]> buf)
+      : FileSink(f, std::move(buf)), writer_(f) {
+    lockdep::write_jsonl_header(f);
+  }
 
   const char* name() const noexcept override { return "jsonl"; }
 
   void consume(const lockdep::TraceEvent& e) override {
     if (f_ == nullptr) return;
-    lockdep::write_event_jsonl(f_, e);
+    writer_.write(e);
     ++written_;
   }
+
+  void flush() override {
+    writer_.new_drain();
+    FileSink::flush();
+  }
+
+ private:
+  lockdep::JsonlWriter writer_;
 };
 
 // ---------------------------------------------------------------------
 // Perfetto / chrome-trace JSON.
 //
 // Events stream into the array as they drain; only close() writes the
-// "]}"` tail. Span begin markers are held back and paired with their
-// end on the consumer side — emitting ph:"X" complete events instead
-// of B/E pairs, because lock holds legally overlap without nesting
-// (acquire A, acquire B, release A) and B/E tracks would render that
-// as corruption.
+// "]}"` tail. Hold, wait and park records are complete ("X") slices as
+// they arrive — lock holds legally overlap without nesting (acquire A,
+// acquire B, release A), which B/E tracks would render as corruption.
+// Misuse reports and drop records are instants.
 // ---------------------------------------------------------------------
 
 class PerfettoSink final : public FileSink {
@@ -94,6 +103,12 @@ class PerfettoSink final : public FileSink {
       : FileSink(f, std::move(buf)) {
     std::fputs("{\"traceEvents\":[", f_);
     emit_meta("process_name", 0, "resilock");
+    comma();
+    std::fprintf(f_,
+                 "{\"name\":\"trace_schema\",\"ph\":\"M\",\"pid\":0,"
+                 "\"tid\":0,\"args\":{\"name\":\"resilock-trace\","
+                 "\"version\":%d}}",
+                 lockdep::kTraceSchemaVersion);
   }
 
   ~PerfettoSink() override { PerfettoSink::close(); }
@@ -105,36 +120,31 @@ class PerfettoSink final : public FileSink {
     note_thread(e.pid);
     using lockdep::EventKind;
     switch (e.kind) {
-      case EventKind::kHoldBegin:
-        open_[{e.pid, e.lock, kHold}] = OpenSpan{e.ns, e.site};
-        return;  // counted when the slice closes
-      case EventKind::kWaitBegin:
-        open_[{e.pid, e.lock, kWait}] = OpenSpan{e.ns, e.site};
+      case EventKind::kHold:
+        slice(e, "lock-hold");
         return;
-      case EventKind::kHoldEnd:
-        close_span(e, kHold, "lock-hold");
+      case EventKind::kWait:
+        slice(e, "lock-wait");
         return;
-      case EventKind::kWaitEnd:
-        close_span(e, kWait, "lock-wait");
-        return;
-      case EventKind::kParkBegin:
-        open_[{e.pid, e.lock, kPark}] = OpenSpan{e.ns, e.site};
-        return;
-      case EventKind::kParkEnd:
-        close_span(e, kPark, "lock-park");
+      case EventKind::kPark:
+        slice(e, "lock-park");
         return;
       default:
         break;
     }
-    // Misuse / lockdep reports: instant events, thread-scoped.
+    // Misuse / lockdep reports and drop records: instant events,
+    // thread-scoped.
     comma();
     std::fprintf(f_,
                  "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,"
                  "\"pid\":0,\"tid\":%u,\"args\":{\"lock\":\"%p\"",
                  to_string(e.kind), us(e.ns), static_cast<unsigned>(e.pid),
                  e.lock);
-    if (e.kind == EventKind::kOrderInversion ||
-        e.kind == EventKind::kDeadlockCycle) {
+    if (e.kind == EventKind::kEventsDropped) {
+      std::fprintf(f_, ",\"dropped\":%llu",
+                   static_cast<unsigned long long>(e.dropped));
+    } else if (e.kind == EventKind::kOrderInversion ||
+               e.kind == EventKind::kDeadlockCycle) {
       std::fprintf(f_, ",\"a\":%u,\"b\":%u", static_cast<unsigned>(e.a),
                    static_cast<unsigned>(e.b));
     } else if (e.a != lockdep::kNoClassTag) {
@@ -161,14 +171,6 @@ class PerfettoSink final : public FileSink {
   }
 
  private:
-  enum SpanClass : std::uint8_t { kHold = 0, kWait = 1, kPark = 2 };
-  // (thread, lock, hold|wait) -> the open span's begin state.
-  using Key = std::tuple<std::uint32_t, const void*, std::uint8_t>;
-  struct OpenSpan {
-    std::uint64_t ns = 0;
-    std::uint64_t site = 0;  // acquisition call site from the begin event
-  };
-
   static double us(std::uint64_t ns) {
     return static_cast<double>(ns) / 1000.0;
   }
@@ -206,18 +208,13 @@ class PerfettoSink final : public FileSink {
     }
   }
 
-  void close_span(const lockdep::TraceEvent& e, SpanClass sc,
-                  const char* slice) {
-    const auto it = open_.find({e.pid, e.lock, sc});
-    if (it == open_.end()) return;  // end without a begin (ring dropped it)
-    const OpenSpan begin = it->second;
-    open_.erase(it);
+  void slice(const lockdep::TraceEvent& e, const char* name) {
     comma();
     std::fprintf(f_,
                  "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
                  "\"pid\":0,\"tid\":%u,\"args\":{\"lock\":\"%p\"",
-                 slice, us(begin.ns), us(e.ns - begin.ns),
-                 static_cast<unsigned>(e.pid), e.lock);
+                 name, us(e.ns), us(e.dur_ns), static_cast<unsigned>(e.pid),
+                 e.lock);
     if (e.a != lockdep::kNoClassTag) {
       std::fprintf(f_, ",\"cls\":%u", static_cast<unsigned>(e.a));
       emit_cls_label(e.a);
@@ -226,16 +223,15 @@ class PerfettoSink final : public FileSink {
       std::fprintf(f_, ",\"mode\":\"%s\"",
                    to_string(static_cast<AccessMode>(e.mode)));
     }
-    if (begin.site != 0) {
+    if (e.site != 0) {
       std::fprintf(f_, ",\"site\":\"0x%llx\"",
-                   static_cast<unsigned long long>(begin.site));
+                   static_cast<unsigned long long>(e.site));
     }
     std::fputs("}}", f_);
     ++written_;
   }
 
   bool any_ = false;
-  std::map<Key, OpenSpan> open_;
   std::set<std::uint32_t> named_;
 };
 

@@ -5,15 +5,19 @@
 //   * concurrent drain-while-writing — a producer thread emits through
 //     TraceBuffer while a consumer drains, which is exactly the
 //     SPSC contract the rings claim (TSan runs this in CI);
-//   * the JSONL exporter — one well-formed line per drained event,
-//     append semantics, verdict/label fields when present.
+//   * the JSONL exporter — a schema record, then one well-formed line
+//     per drained event, append semantics, verdict/label fields when
+//     present, byte for byte what the fprintf formatter it replaced
+//     wrote.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -43,6 +47,9 @@ TraceEvent make_event(std::uint64_t seq) {
 
 // The global buffer accumulates across tests; start clean.
 void clear_trace() { TraceBuffer::instance().drain_all(); }
+
+constexpr const char* kSchemaLine =
+    "{\"schema\":\"resilock-trace\",\"version\":2}";
 
 }  // namespace
 
@@ -181,26 +188,29 @@ TEST(TraceExport, WritesOneWellFormedLinePerEvent) {
   ASSERT_TRUE(in.good());
   std::vector<std::string> lines;
   for (std::string line; std::getline(in, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("\"kind\":\"double-unlock\""), std::string::npos)
-      << lines[0];
-  EXPECT_NE(lines[1].find("\"kind\":\"order-inversion\""),
+  // A new file opens with the schema record, then one line per event.
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0], kSchemaLine);
+  EXPECT_NE(lines[1].find("\"kind\":\"double-unlock\""), std::string::npos)
+      << lines[1];
+  EXPECT_NE(lines[2].find("\"kind\":\"order-inversion\""),
             std::string::npos);
-  EXPECT_NE(lines[1].find("\"a\":3"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"verdict\":\"log\""), std::string::npos);
+  EXPECT_NE(lines[2].find("\"a\":3"), std::string::npos);
+  EXPECT_NE(lines[2].find("\"verdict\":\"log\""), std::string::npos);
   for (const auto& l : lines) {  // each line is one {...} object
     EXPECT_EQ(l.front(), '{');
     EXPECT_EQ(l.back(), '}');
   }
 
-  // Append semantics: a second dump adds lines, never truncates.
+  // Append semantics: a second dump adds lines, never truncates, and
+  // writes no second schema record.
   tb.emit(EventKind::kUnbalancedUnlock, &lock_a);
   ASSERT_TRUE(lockdep::export_trace_jsonl(path.c_str(), &written));
   EXPECT_EQ(written, 1u);
   std::ifstream again(path);
   std::size_t count = 0;
   for (std::string line; std::getline(again, line);) ++count;
-  EXPECT_EQ(count, 3u);
+  EXPECT_EQ(count, 4u);
   std::remove(path.c_str());
 }
 
@@ -288,14 +298,15 @@ TEST(TraceExport, RwPayloadAndClassFieldsInJsonl) {
   std::ifstream in(path);
   std::vector<std::string> lines;
   for (std::string line; std::getline(in, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("\"kind\":\"unbalanced-read-unlock\""),
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0], kSchemaLine);
+  EXPECT_NE(lines[1].find("\"kind\":\"unbalanced-read-unlock\""),
             std::string::npos);
-  EXPECT_NE(lines[0].find("\"cls\":3"), std::string::npos) << lines[0];
-  EXPECT_NE(lines[0].find("\"mode\":\"read\""), std::string::npos);
-  EXPECT_NE(lines[0].find("\"readers\":5"), std::string::npos);
-  EXPECT_EQ(lines[1].find("\"mode\""), std::string::npos) << lines[1];
-  EXPECT_EQ(lines[1].find("\"cls\""), std::string::npos) << lines[1];
+  EXPECT_NE(lines[1].find("\"cls\":3"), std::string::npos) << lines[1];
+  EXPECT_NE(lines[1].find("\"mode\":\"read\""), std::string::npos);
+  EXPECT_NE(lines[1].find("\"readers\":5"), std::string::npos);
+  EXPECT_EQ(lines[2].find("\"mode\""), std::string::npos) << lines[2];
+  EXPECT_EQ(lines[2].find("\"cls\""), std::string::npos) << lines[2];
   std::remove(path.c_str());
 }
 
@@ -310,4 +321,160 @@ TEST(TraceExport, DrainingExportLeavesRingsEmpty) {
   EXPECT_GE(lockdep::write_trace_jsonl(f), 1u);
   std::fclose(f);
   EXPECT_EQ(tb.drain_all().size(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Golden: the buffered formatter against the fprintf formatter it
+// replaced, byte for byte apart from the fields that formatter did not
+// have (`dur_ns` on records, `dropped` on drop records).
+// ---------------------------------------------------------------------
+
+namespace {
+
+void reference_escaped(std::FILE* f, std::string_view s) {
+  std::fputc('"', f);
+  for (const char ch : s) {
+    const unsigned char c = static_cast<unsigned char>(ch);
+    switch (c) {
+      case '"': std::fputs("\\\"", f); break;
+      case '\\': std::fputs("\\\\", f); break;
+      case '\n': std::fputs("\\n", f); break;
+      case '\r': std::fputs("\\r", f); break;
+      case '\t': std::fputs("\\t", f); break;
+      default:
+        if (c < 0x20) {
+          std::fprintf(f, "\\u%04x", c);
+        } else {
+          std::fputc(ch, f);
+        }
+    }
+  }
+  std::fputc('"', f);
+}
+
+// The previous write_event_jsonl, kept as the reference.
+std::string reference_line(const TraceEvent& e) {
+  char* buf = nullptr;
+  std::size_t len = 0;
+  std::FILE* f = open_memstream(&buf, &len);
+  lockdep::Graph& g = lockdep::Graph::instance();
+  std::fprintf(f,
+               "{\"ns\":%llu,\"kind\":\"%s\",\"lock\":\"%p\",\"pid\":%u",
+               static_cast<unsigned long long>(e.ns), to_string(e.kind),
+               e.lock, static_cast<unsigned>(e.pid));
+  if (e.kind == EventKind::kOrderInversion ||
+      e.kind == EventKind::kDeadlockCycle) {
+    std::fprintf(f, ",\"a\":%u,\"b\":%u", static_cast<unsigned>(e.a),
+                 static_cast<unsigned>(e.b));
+    if (const char* la = g.label_of(e.a)) {
+      std::fputs(",\"a_label\":", f);
+      reference_escaped(f, la);
+    }
+    if (const char* lb = g.label_of(e.b)) {
+      std::fputs(",\"b_label\":", f);
+      reference_escaped(f, lb);
+    }
+  } else if (e.a != lockdep::kNoClassTag) {
+    std::fprintf(f, ",\"cls\":%u", static_cast<unsigned>(e.a));
+    if (const char* lc = g.label_of(e.a)) {
+      std::fputs(",\"cls_label\":", f);
+      reference_escaped(f, lc);
+    }
+  }
+  if (e.mode != lockdep::kNoMode) {
+    std::fprintf(f, ",\"mode\":\"%s\",\"readers\":%u",
+                 to_string(static_cast<AccessMode>(e.mode)),
+                 static_cast<unsigned>(e.readers));
+  }
+  if (e.verdict != lockdep::kNoVerdict && e.verdict < response::kActions) {
+    std::fprintf(f, ",\"verdict\":\"%s\"",
+                 to_string(static_cast<response::Action>(e.verdict)));
+  }
+  if (e.site != 0) {
+    std::fprintf(f, ",\"site\":\"0x%llx\"",
+                 static_cast<unsigned long long>(e.site));
+  }
+  std::fputs("}\n", f);
+  std::fclose(f);
+  std::string out(buf, len);
+  std::free(buf);
+  return out;
+}
+
+// `line` without the one field the reference lacks for `e.kind`;
+// fails the test when that field is missing or misplaced.
+std::string without_new_field(std::string line, const TraceEvent& e) {
+  std::string field;
+  if (lockdep::is_span_kind(e.kind)) {
+    field = ",\"dur_ns\":" + std::to_string(e.dur_ns);
+  } else if (e.kind == EventKind::kEventsDropped) {
+    field = ",\"dropped\":" + std::to_string(e.dropped);
+  } else {
+    return line;
+  }
+  const std::size_t at = line.size() - 2;  // before the closing "}\n"
+  EXPECT_GE(line.size(), field.size() + 2) << line;
+  if (line.size() < field.size() + 2) return line;
+  EXPECT_EQ(line.substr(at - field.size(), field.size()), field) << line;
+  line.erase(at - field.size(), field.size());
+  return line;
+}
+
+}  // namespace
+
+TEST(TraceExport, BufferedFormatterMatchesTheFprintfOneByteForByte) {
+  auto& g = lockdep::Graph::instance();
+  int plain_obj = 0, evil_obj = 0, gone_obj = 0;
+  const lockdep::ClassId plain = g.register_class(&plain_obj, "shield<MCS>");
+  const lockdep::ClassId evil = g.register_class(
+      &evil_obj, "db[\"main\"]\\path\n\ttab\x01\x1f end");
+  const lockdep::ClassId gone = g.register_class(&gone_obj, "retired");
+  g.retire_class(gone);  // a stale id: no label
+
+  char* buf = nullptr;
+  std::size_t len = 0;
+  std::FILE* sink = open_memstream(&buf, &len);
+  lockdep::JsonlWriter writer(sink);
+  const std::uint32_t classes[] = {lockdep::kNoClassTag, plain, evil, gone};
+  const std::uint8_t modes[] = {lockdep::kNoMode, 0, 1, 2};
+  const std::uint8_t verdicts[] = {lockdep::kNoVerdict, 0, 1, 2, 3, 200};
+  int lock_obj = 0;
+  std::size_t cases = 0;
+  for (std::size_t k = 0; k < lockdep::kEventKinds; ++k) {
+    for (const std::uint32_t a : classes) {
+      for (const std::uint32_t b : classes) {
+        for (const std::uint8_t mode : modes) {
+          for (const std::uint8_t verdict : verdicts) {
+            TraceEvent e;
+            e.kind = static_cast<EventKind>(k);
+            e.ns = 1234567890123ull + cases;
+            e.dur_ns = cases * 7;
+            e.dropped = cases * 3 + 1;
+            e.lock = cases % 5 == 0 ? nullptr : &lock_obj;
+            e.pid = static_cast<std::uint32_t>(cases % 512);
+            e.a = a;
+            e.b = b;
+            e.mode = mode;
+            e.readers = static_cast<std::uint32_t>(cases % 9);
+            e.verdict = verdict;
+            e.site = cases % 3 == 0 ? 0 : 0x7f00deadbeefull + cases;
+            if (cases % 97 == 0) writer.new_drain();
+            const std::string got(writer.format(e));
+            ASSERT_EQ(without_new_field(got, e), reference_line(e))
+                << "kind " << to_string(e.kind);
+            writer.write(e);
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  std::fclose(sink);
+  // write() puts out exactly what format() returned, line by line.
+  std::size_t lines = 0;
+  for (std::size_t i = 0; i < len; ++i) lines += buf[i] == '\n';
+  std::free(buf);
+  EXPECT_EQ(lines, cases);
+  g.retire_class(evil);
+  g.retire_class(plain);
 }

@@ -539,7 +539,7 @@ TEST(LockstatEscaping, ClassLabelsEscapeInTraceJsonl) {
 
   lockdep::TraceEvent e;
   e.ns = 1;
-  e.kind = lockdep::EventKind::kHoldBegin;
+  e.kind = lockdep::EventKind::kHold;
   e.lock = &lock;
   e.pid = 0;
   e.a = cls;

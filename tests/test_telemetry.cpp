@@ -7,15 +7,20 @@
 //     snapshot;
 //   * drain guard — TraceBuffer::drain's single-consumer contract is
 //     enforced: a drainer arriving while one is in progress gets 0;
-//   * spans — hold/wait markers are emitted only behind the opt-in
-//     flag, paired per (thread, lock), carrying the rw mode payload;
+//   * spans — one hold/wait record per hold / contended wait, only
+//     behind the opt-in flag, carrying the rw mode payload, sharing
+//     lockstat's timestamps and the misuse instants' clock;
+//   * drop records and the hard drain — loss is reported in the
+//     stream, and a half-full ring re-drains without a sleep;
 //   * perfetto sink — the produced chrome-trace document is
-//     well-formed, with instants for misuse and "X" slices for spans;
+//     well-formed, with instants for misuse and drops and "X" slices
+//     for records;
 //   * abort flush — an aborting lockdep verdict lands its own trace
 //     event in RESILOCK_TRACE_FILE even though std::abort() skips
 //     atexit handlers (death test).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -25,12 +30,16 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/rw/crw.hpp"
 #include "core/tas.hpp"
 #include "lockdep/event_ring.hpp"
 #include "lockdep/lockdep.hpp"
+#include "observe/lockstat.hpp"
+#include "platform/thread_registry.hpp"
 #include "response/response.hpp"
+#include "runtime/timer.hpp"
 #include "shield/rw_shield.hpp"
 #include "shield/shield.hpp"
 #include "telemetry/collector.hpp"
@@ -284,10 +293,22 @@ TEST(Collector, RestartsWithFreshSinksAndAutostartRespectsEnv) {
 }
 
 // ---------------------------------------------------------------------
-// Span tracing.
+// Span tracing: one completed record per hold, contended wait and park.
 // ---------------------------------------------------------------------
 
-TEST(Spans, OffByDefaultOnWithGuardPairedPerLock) {
+namespace {
+
+std::vector<TraceEvent> events_on(const void* lock) {
+  std::vector<TraceEvent> out;
+  for (const auto& e : TraceBuffer::instance().drain_all()) {
+    if (e.lock == lock) out.push_back(e);
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(Spans, OffByDefaultOneHoldRecordWithGuard) {
   clear_trace();
   Shield<TasLock> lock;
   lock.acquire();
@@ -297,19 +318,20 @@ TEST(Spans, OffByDefaultOnWithGuardPairedPerLock) {
   }
 
   lockdep::SpanTracingGuard spans(true);
+  const std::uint64_t before = runtime::now_ns_fast();
   lock.acquire();
   lock.release();
-  int begins = 0, ends = 0;
-  for (const auto& e : TraceBuffer::instance().drain_all()) {
-    if (e.lock != &lock) continue;
-    if (e.kind == EventKind::kHoldBegin) ++begins;
-    if (e.kind == EventKind::kHoldEnd) ++ends;
-  }
-  EXPECT_EQ(begins, 1);
-  EXPECT_EQ(ends, 1);
+  const std::uint64_t after = runtime::now_ns_fast();
+  const auto evs = events_on(&lock);
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].kind, EventKind::kHold);
+  EXPECT_EQ(evs[0].a, lock.lockdep_class());
+  // The record is the hold: it begins and ends inside the pair.
+  EXPECT_GE(evs[0].ns, before);
+  EXPECT_LE(evs[0].ns + evs[0].dur_ns, after);
 }
 
-TEST(Spans, ContendedAcquireEmitsWaitSpan) {
+TEST(Spans, ContendedAcquireEmitsOneWaitRecord) {
   clear_trace();
   lockdep::SpanTracingGuard spans(true);
   Shield<TasLock> lock;
@@ -321,20 +343,26 @@ TEST(Spans, ContendedAcquireEmitsWaitSpan) {
     lock.release();
   });
   while (!held.load(std::memory_order_acquire)) std::this_thread::yield();
-  lock.acquire();  // observed held: the contended window is bracketed
+  lock.acquire();  // observed held: the contended window is recorded
   lock.release();
   holder.join();
-  int wait_begin = 0, wait_end = 0;
-  for (const auto& e : TraceBuffer::instance().drain_all()) {
-    if (e.lock != &lock) continue;
-    if (e.kind == EventKind::kWaitBegin) ++wait_begin;
-    if (e.kind == EventKind::kWaitEnd) ++wait_end;
+  int holds = 0, waits = 0;
+  std::uint64_t longest_wait = 0;
+  for (const auto& e : events_on(&lock)) {
+    if (e.kind == EventKind::kHold) ++holds;
+    if (e.kind == EventKind::kWait) {
+      ++waits;
+      longest_wait = std::max(longest_wait, e.dur_ns);
+    }
   }
-  EXPECT_GE(wait_begin, 1);
-  EXPECT_EQ(wait_begin, wait_end);
+  EXPECT_EQ(holds, 2);
+  EXPECT_EQ(static_cast<std::uint64_t>(waits), lock.contended_total());
+  EXPECT_GE(waits, 1);
+  // The waiter sat behind a 20 ms hold.
+  EXPECT_GT(longest_wait, 1000000u);
 }
 
-TEST(Spans, RwHoldSpansCarryTheMode) {
+TEST(Spans, RwHoldRecordsCarryTheMode) {
   clear_trace();
   lockdep::SpanTracingGuard spans(true);
   using Rw = CrwLock<kOriginal, SplitReadIndicator, RwPreference::kNeutral>;
@@ -345,8 +373,8 @@ TEST(Spans, RwHoldSpansCarryTheMode) {
   rw.wlock(wctx);
   EXPECT_TRUE(rw.wunlock(wctx));
   bool saw_read_hold = false, saw_write_hold = false;
-  for (const auto& e : TraceBuffer::instance().drain_all()) {
-    if (e.lock != &rw || e.kind != EventKind::kHoldBegin) continue;
+  for (const auto& e : events_on(&rw)) {
+    ASSERT_EQ(e.kind, EventKind::kHold);
     if (e.mode == static_cast<std::uint8_t>(AccessMode::kRead)) {
       saw_read_hold = true;
     }
@@ -356,6 +384,220 @@ TEST(Spans, RwHoldSpansCarryTheMode) {
   }
   EXPECT_TRUE(saw_read_hold);
   EXPECT_TRUE(saw_write_hold);
+}
+
+TEST(Spans, RecordsMatchHoldsWaitsAndLockstatWindows) {
+  // A scripted run with spans on and every hold window timed: one hold
+  // record per hold, one wait record per contended wait, and each
+  // record's length is exactly the window lockstat recorded — the two
+  // layers read the same two timestamps.
+  clear_trace();
+  lockdep::SpanTracingGuard spans(true);
+  observe::LockstatGuard lockstat(true);
+  observe::LockstatSampleGuard every_hold(1);
+  Shield<TasLock> lock;
+  lock.acquire();  // registers the class (and is one hold)
+  lock.release();
+  const observe::ClassStats* st =
+      observe::LockStat::instance().peek(lock.lockdep_class());
+  ASSERT_NE(st, nullptr);
+  ASSERT_EQ(events_on(&lock).size(), 1u);
+
+  constexpr int kHolds = 50;
+  for (int i = 0; i < kHolds; ++i) {
+    const auto before = st->hold.snapshot();
+    lock.acquire();
+    runtime::busy_work(static_cast<std::uint64_t>(i) * 20);
+    lock.release();
+    const auto after = st->hold.snapshot();
+    const auto evs = events_on(&lock);
+    ASSERT_EQ(evs.size(), 1u);
+    EXPECT_EQ(evs[0].kind, EventKind::kHold);
+    ASSERT_EQ(after.count, before.count + 1);
+    EXPECT_EQ(evs[0].dur_ns, after.total - before.total) << i;
+  }
+
+  // Contended waits, scripted: a holder keeps the lock until the
+  // waiter registered as one, then lets it go.
+  const std::uint64_t contended0 = lock.contended_total();
+  const auto wait0 = st->wait.snapshot();
+  constexpr int kRounds = 5;
+  std::uint64_t records = 0, holds = 0, waits = 0, wait_ns = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    std::atomic<bool> held{false};
+    std::thread holder([&] {
+      lock.acquire();
+      held.store(true, std::memory_order_release);
+      while (lock.waiters() == 0) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      lock.release();
+    });
+    while (!held.load(std::memory_order_acquire)) std::this_thread::yield();
+    lock.acquire();
+    lock.release();
+    holder.join();
+    for (const auto& e : events_on(&lock)) {
+      ++records;
+      if (e.kind == EventKind::kHold) ++holds;
+      if (e.kind == EventKind::kWait) {
+        ++waits;
+        wait_ns += e.dur_ns;
+      }
+    }
+  }
+  const std::uint64_t contended = lock.contended_total() - contended0;
+  EXPECT_EQ(holds, 2u * kRounds);
+  EXPECT_EQ(waits, contended);
+  EXPECT_GE(waits, static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(records, holds + contended);
+  const auto wait1 = st->wait.snapshot();
+  EXPECT_EQ(wait1.count - wait0.count, waits);
+  EXPECT_EQ(wait1.total - wait0.total, wait_ns);
+}
+
+TEST(Spans, OverlappingHoldsThatDoNotNestAreTwoSlices) {
+  // acquire A, acquire B, release A, release B: two records whose
+  // windows overlap without nesting, and two "X" slices in Perfetto.
+  clear_trace();
+  lockdep::SpanTracingGuard spans(true);
+  Shield<TasLock> a, b;
+  a.acquire();
+  b.acquire();
+  a.release();
+  b.release();
+  std::vector<TraceEvent> holds;
+  for (const auto& e : TraceBuffer::instance().drain_all()) {
+    if (e.lock == &a || e.lock == &b) holds.push_back(e);
+  }
+  ASSERT_EQ(holds.size(), 2u);
+  // Emitted at the end: A's release comes first.
+  const TraceEvent& ra = holds[0];
+  const TraceEvent& rb = holds[1];
+  ASSERT_EQ(ra.lock, &a);
+  ASSERT_EQ(rb.lock, &b);
+  EXPECT_LE(ra.ns, rb.ns);
+  EXPECT_LE(rb.ns, ra.ns + ra.dur_ns);
+  EXPECT_LE(ra.ns + ra.dur_ns, rb.ns + rb.dur_ns);
+
+  const std::string path = ::testing::TempDir() + "resilock_overlap.json";
+  std::remove(path.c_str());
+  auto sink = telemetry::make_perfetto_sink(path.c_str());
+  ASSERT_NE(sink, nullptr);
+  for (const auto& e : holds) sink->consume(e);
+  sink->close();
+  const std::string doc = slurp(path);
+  std::size_t slices = 0;
+  for (std::size_t p = doc.find("\"ph\":\"X\""); p != std::string::npos;
+       p = doc.find("\"ph\":\"X\"", p + 1)) {
+    ++slices;
+  }
+  EXPECT_EQ(slices, 2u) << doc;
+  std::remove(path.c_str());
+}
+
+TEST(Spans, MisuseInstantsAndHoldsShareOneClock) {
+  // A misuse instant inside a hold lands inside that hold's slice, and
+  // the trace clock starts on the steady clock's epoch.
+  clear_trace();
+  lockdep::SpanTracingGuard spans(true);
+  shield::ShieldPolicyGuard policy(shield::ShieldPolicy::kSuppress);
+  response::ResponseRulesGuard rules("");
+  Shield<TasLock> outer, victim;
+  outer.acquire();
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_FALSE(victim.release());  // unbalanced unlock: an instant
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  outer.release();
+  const TraceEvent* hold = nullptr;
+  const TraceEvent* misuse = nullptr;
+  const auto evs = TraceBuffer::instance().drain_all();
+  for (const auto& e : evs) {
+    if (e.lock == &outer && e.kind == EventKind::kHold) hold = &e;
+    if (e.lock == &victim) misuse = &e;
+  }
+  ASSERT_NE(hold, nullptr);
+  ASSERT_NE(misuse, nullptr);
+  EXPECT_EQ(misuse->kind, EventKind::kUnbalancedUnlock);
+  EXPECT_GT(misuse->ns, hold->ns);
+  EXPECT_LT(misuse->ns, hold->ns + hold->dur_ns);
+  const std::int64_t skew = static_cast<std::int64_t>(
+      runtime::now_ns_fast() - runtime::now_ns());
+  EXPECT_LT(std::llabs(skew), 50'000'000) << skew;
+}
+
+// ---------------------------------------------------------------------
+// Drop records.
+// ---------------------------------------------------------------------
+
+TEST(DropRecords, DrainReportsEachRingsNewDropsOnce) {
+  clear_trace();
+  auto& tb = TraceBuffer::instance();
+  int marker = 0;
+  const std::uint64_t dropped0 = tb.dropped();
+  std::uint32_t pid = 0;
+  std::thread producer([&] {
+    pid = platform::self_pid();
+    for (int i = 0; i < 5000; ++i) tb.emit(EventKind::kDoubleUnlock, &marker);
+  });
+  producer.join();
+  const std::uint64_t lost = tb.dropped() - dropped0;
+  ASSERT_GT(lost, 0u);
+  std::uint64_t marked = 0, reported = 0, records = 0;
+  const std::size_t n = tb.drain([&](const TraceEvent& e) {
+    if (e.lock == &marker) ++marked;
+    if (e.kind == EventKind::kEventsDropped) {
+      ++records;
+      EXPECT_EQ(e.pid, pid);
+      reported += e.dropped;
+    }
+  });
+  // Drop records are not emitted events: not in the delivered count.
+  EXPECT_EQ(n, marked);
+  EXPECT_EQ(records, 1u);
+  EXPECT_EQ(reported, lost);
+  EXPECT_EQ(marked + lost, 5000u);
+  // Reported once: the next drain has nothing new to say.
+  for (const auto& e : tb.drain_all()) {
+    EXPECT_NE(e.kind, EventKind::kEventsDropped);
+  }
+}
+
+TEST(Collector, HalfFullRingTriggersHardDrain) {
+  // Three producers emit bursts of 100 events into default-sized
+  // (128-slot) rings, pausing between bursts. A drain that finds a ring
+  // at least half full re-drains at once instead of sleeping. A rule
+  // keyed to the events one cycle pulls over all rings (1024, eight
+  // full default rings) never fires here: three rings hold 384 at most
+  // and the pauses keep a drain from outrunning its producers.
+  clear_trace();
+  Collector& c = Collector::instance();
+  std::atomic<std::uint64_t> total{0}, marked{0};
+  int marker = 0;
+  c.add_sink(std::make_unique<CountingSink>(&total, &marked, &marker));
+  ASSERT_TRUE(c.start());
+  const std::uint64_t hard0 = c.stats().hard_drains;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> producers;
+  for (int t = 0; t < 3; ++t) {
+    producers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (int i = 0; i < 100; ++i) {
+          TraceBuffer::instance().emit(EventKind::kNonOwnerUnlock, &marker);
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (c.stats().hard_drains == hard0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true);
+  for (auto& t : producers) t.join();
+  c.stop();
+  EXPECT_GT(c.stats().hard_drains, hard0);
 }
 
 // ---------------------------------------------------------------------
@@ -377,17 +619,18 @@ TEST(PerfettoSink, ProducesOneValidDocumentWithInstantsAndSlices) {
   e.kind = EventKind::kDoubleUnlock;
   e.verdict = static_cast<std::uint8_t>(response::Action::kSuppress);
   sink->consume(e);  // instant
-  e.kind = EventKind::kHoldBegin;
+  e.kind = EventKind::kHold;
   e.ns = 2000;
+  e.dur_ns = 3000;
   e.verdict = lockdep::kNoVerdict;
-  sink->consume(e);
-  e.kind = EventKind::kHoldEnd;
-  e.ns = 5000;
-  sink->consume(e);  // closes a 3us slice
-  e.kind = EventKind::kWaitEnd;
-  e.ns = 6000;
-  sink->consume(e);  // end without begin: dropped, not corrupted
-  EXPECT_EQ(sink->written(), 2u);  // instant + hold slice
+  sink->consume(e);  // a 3us slice, as it is
+  TraceEvent drop;
+  drop.pid = 7;
+  drop.ns = 6000;
+  drop.kind = EventKind::kEventsDropped;
+  drop.dropped = 5;
+  sink->consume(drop);  // instant on the thread's track
+  EXPECT_EQ(sink->written(), 3u);
   sink->close();
 
   const std::string doc = slurp(path);
@@ -396,9 +639,140 @@ TEST(PerfettoSink, ProducesOneValidDocumentWithInstantsAndSlices) {
   EXPECT_NE(doc.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(doc.find("\"name\":\"lock-hold\""), std::string::npos);
-  EXPECT_NE(doc.find("\"dur\":3.000"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"ts\":2.000,\"dur\":3.000"), std::string::npos)
+      << doc;
   EXPECT_NE(doc.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(doc.find("double-unlock"), std::string::npos);
+  EXPECT_NE(doc.find("\"name\":\"events-dropped\""), std::string::npos);
+  EXPECT_NE(doc.find("\"dropped\":5"), std::string::npos);
+  EXPECT_NE(doc.find("{\"name\":\"trace_schema\",\"ph\":\"M\",\"pid\":0,"
+                     "\"tid\":0,\"args\":{\"name\":\"resilock-trace\","
+                     "\"version\":2}}"),
+            std::string::npos)
+      << doc;
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Offline analyzer (tools/resilock_report) over the sinks' output.
+// ---------------------------------------------------------------------
+
+namespace {
+
+struct ReportRun {
+  int status = -1;
+  std::string out;
+};
+
+// Runs the analyzer on `trace`; stdout and stderr are captured together.
+ReportRun run_report(const std::string& trace, const std::string& args) {
+  ReportRun r;
+  const std::string cmd = std::string(RESILOCK_REPORT_BIN) + " " + trace +
+                          " " + args + " 2>&1";
+  std::FILE* p = popen(cmd.c_str(), "r");
+  if (p == nullptr) return r;
+  char buf[512];
+  while (std::fgets(buf, sizeof buf, p) != nullptr) r.out += buf;
+  r.status = pclose(p);
+  return r;
+}
+
+// Two holds, one contended wait, one park and two drop records of one
+// thread, through `sink`.
+void feed_records(telemetry::Sink& sink, const void* lock,
+                  std::uint32_t cls) {
+  TraceEvent e;
+  e.pid = 3;
+  e.lock = lock;
+  e.a = cls;
+  e.kind = EventKind::kWait;
+  e.ns = 1000;
+  e.dur_ns = 4000;
+  sink.consume(e);
+  e.kind = EventKind::kHold;
+  e.ns = 5000;
+  e.dur_ns = 2000;
+  e.site = 0x1234;
+  sink.consume(e);
+  e.ns = 9000;
+  sink.consume(e);
+  e.kind = EventKind::kPark;
+  e.ns = 1500;
+  e.dur_ns = 3000;
+  e.site = 0;
+  sink.consume(e);
+  TraceEvent drop;
+  drop.pid = 3;
+  drop.kind = EventKind::kEventsDropped;
+  drop.ns = 12000;
+  drop.dropped = 7;
+  sink.consume(drop);
+  drop.ns = 13000;
+  drop.dropped = 5;
+  sink.consume(drop);
+  sink.close();
+}
+
+}  // namespace
+
+TEST(Report, ReadsRecordsAndCountsDropsInBothFormats) {
+  int lock = 0;
+  const lockdep::ClassId cls =
+      lockdep::Graph::instance().register_class(&lock, "report.cls");
+  for (const bool perfetto : {false, true}) {
+    SCOPED_TRACE(perfetto ? "perfetto" : "jsonl");
+    const std::string path = ::testing::TempDir() + "resilock_report_in";
+    const std::string json = ::testing::TempDir() + "resilock_report.json";
+    std::remove(path.c_str());
+    auto sink = perfetto ? telemetry::make_perfetto_sink(path.c_str())
+                         : telemetry::make_jsonl_sink(path.c_str());
+    ASSERT_NE(sink, nullptr);
+    feed_records(*sink, &lock, cls);
+    const ReportRun r = run_report(path, "--json " + json);
+    EXPECT_EQ(r.status, 0) << r.out;
+    EXPECT_EQ(r.out.rfind("incomplete: 12 events dropped\n", 0), 0u)
+        << r.out;
+    EXPECT_NE(r.out.find("report.cls"), std::string::npos) << r.out;
+    const std::string doc = slurp(json);
+    EXPECT_NE(doc.find("\"dropped_events\":12"), std::string::npos) << doc;
+    EXPECT_NE(doc.find("\"waits\":1,\"acquisitions\":2"), std::string::npos)
+        << doc;
+    EXPECT_NE(doc.find("\"wait_total_ns\":4000"), std::string::npos) << doc;
+    EXPECT_NE(doc.find("\"hold_total_ns\":4000,\"parks\":1,\"park_ns\":3000"),
+              std::string::npos)
+        << doc;
+    std::remove(path.c_str());
+    std::remove(json.c_str());
+  }
+  lockdep::Graph::instance().retire_class(cls);
+}
+
+TEST(Report, RefusesAVersionOneTrace) {
+  const std::string path = ::testing::TempDir() + "resilock_report_v1";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(
+        "{\"ns\":1,\"kind\":\"hold-begin\",\"lock\":\"0x10\",\"pid\":0}\n"
+        "{\"ns\":9,\"kind\":\"hold-end\",\"lock\":\"0x10\",\"pid\":0}\n",
+        f);
+    std::fclose(f);
+  }
+  ReportRun r = run_report(path, "");
+  EXPECT_NE(r.status, 0);
+  EXPECT_NE(r.out.find("schema v1 trace"), std::string::npos) << r.out;
+  EXPECT_EQ(std::count(r.out.begin(), r.out.end(), '\n'), 1) << r.out;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("{\"traceEvents\":[{\"name\":\"lock-hold\",\"ph\":\"X\","
+               "\"ts\":1.0,\"dur\":2.0,\"pid\":0,\"tid\":1}]}\n",
+               f);
+    std::fclose(f);
+  }
+  r = run_report(path, "");
+  EXPECT_NE(r.status, 0);
+  EXPECT_NE(r.out.find("schema v1 trace"), std::string::npos) << r.out;
   std::remove(path.c_str());
 }
 

@@ -13,15 +13,29 @@
 //   resilock_report trace.jsonl --timeline     # every wait span
 //   resilock_report trace.jsonl --json out.json  # machine-readable
 //
-// Reconstruction semantics: hold spans (hold-begin .. hold-end per
-// (thread, lock)) rebuild the hold histogram and acquisition count;
-// wait spans rebuild the wait histogram and contention count (the
-// shield only brackets CONTENDED acquires, matching lockstat's
-// on_contended_wait). Call sites come from the span-begin `site`
-// field (captured when RESILOCK_LOCKSTAT was on in the traced
-// process) and render as raw hex — symbolization is meaningless in a
-// different process. Trylock failures never reach the trace, so that
-// column reads 0 offline.
+// Input: trace schema v2 (lockdep::kTraceSchemaVersion) — a JSONL
+// file whose first line is the {"schema":"resilock-trace","version":2}
+// record, or a perfetto document with a "trace_schema" metadata entry.
+// A v1 trace (begin/end span pairs) is refused with a one-line message
+// rather than misread.
+//
+// Reconstruction semantics: each hold record (one per hold, `ns` =
+// begin, `dur_ns` = length) adds to the hold histogram and acquisition
+// count; each wait record adds to the wait histogram and contention
+// count (the shield only brackets CONTENDED acquires, matching
+// lockstat's on_contended_wait); park records rebuild the park
+// columns. A record is already a slice, so nothing is paired. Call
+// sites come from the hold record's `site` field (captured when
+// RESILOCK_LOCKSTAT was on in the traced process) and render as raw
+// hex — symbolization is meaningless in a different process. Trylock
+// failures never reach the trace, so that column reads 0 offline.
+//
+// Loss: drop records (one per drain in which a thread's ring dropped
+// events) are added up. A lossy trace's report opens with an
+// "incomplete: N events dropped" line, and --json carries
+// "dropped_events". A hold that ended behind its owner's back (the §5
+// hand-off, the shield's stale-entry self-heal) has no record, just as
+// lockstat keeps no window for it.
 //
 // The JSON "parsing" is deliberately a tolerant hand-rolled key
 // scanner, not a JSON library: the emitters' schemas are flat and
@@ -41,6 +55,7 @@
 #include <string_view>
 #include <vector>
 
+#include "lockdep/event_ring.hpp"
 #include "observe/histogram.hpp"
 #include "observe/lockstat.hpp"
 
@@ -172,7 +187,8 @@ struct Analysis {
   std::map<std::uint32_t, ClassAgg> classes;
   std::map<std::uint32_t, ThreadAgg> threads;
   std::vector<WaitSpan> wait_spans;
-  std::uint64_t unpaired = 0;  // ends without begins (ring drops)
+  std::uint64_t dropped = 0;  // events the traced process's rings lost
+  int schema = 0;             // trace schema version; 0 when absent
 
   ClassAgg& cls_agg(std::uint32_t cls, const std::string& label) {
     ClassAgg& a = classes[cls];
@@ -211,70 +227,45 @@ struct Analysis {
 };
 
 // ---------------------------------------------------------------------
-// JSONL ingestion: pair begin/end events per (pid, lock, span class).
+// JSONL ingestion: the schema record, then one event per line.
 // ---------------------------------------------------------------------
 
-struct OpenSpan {
-  std::uint64_t ns = 0;
-  std::uint64_t site = 0;
-  std::uint32_t cls = kNoClsTag;
-  std::string label;
-  std::size_t mode = 0;
-};
-
 void ingest_jsonl(std::istream& in, Analysis& out) {
-  // (pid, lock, 0=hold|1=wait) -> open span.
-  std::map<std::tuple<std::uint64_t, std::uint64_t, int>, OpenSpan> open;
   std::string line;
   while (std::getline(in, line)) {
+    std::string schema;
+    if (find_string(line, "schema", schema)) {
+      std::uint64_t version = 0;
+      find_u64(line, "version", version);
+      if (schema == "resilock-trace") out.schema = static_cast<int>(version);
+      continue;
+    }
     std::string kind;
     if (!find_string(line, "kind", kind)) continue;
-    std::uint64_t ns = 0, pid = 0, lock = 0, cls64 = kNoClsTag;
+    if (out.schema == 0) return;  // events before any schema record: v1
+    std::uint64_t ns = 0, dur = 0, pid = 0, cls64 = kNoClsTag;
     find_u64(line, "ns", ns);
+    find_u64(line, "dur_ns", dur);
     find_u64(line, "pid", pid);
-    find_hex(line, "lock", lock);
     find_u64(line, "cls", cls64);
     const auto cls = static_cast<std::uint32_t>(cls64);
     std::string label;
     find_string(line, "cls_label", label);
-    if (kind == "hold-begin" || kind == "wait-begin" ||
-        kind == "park-begin") {
-      const int sc = kind[0] == 'h' ? 0 : (kind[0] == 'w' ? 1 : 2);
-      OpenSpan o;
-      o.ns = ns;
-      o.cls = cls;
-      o.label = label;
-      find_hex(line, "site", o.site);
+    if (kind == "hold") {
       std::string mode;
       find_string(line, "mode", mode);
-      o.mode = mode_index(mode);
-      open[{pid, lock, sc}] = o;
-      continue;
-    }
-    if (kind == "hold-end" || kind == "wait-end" || kind == "park-end") {
-      const int sc = kind[0] == 'h' ? 0 : (kind[0] == 'w' ? 1 : 2);
-      const auto it = open.find({pid, lock, sc});
-      if (it == open.end()) {
-        ++out.unpaired;
-        continue;
-      }
-      const OpenSpan o = it->second;
-      open.erase(it);
-      const std::uint64_t dur = ns >= o.ns ? ns - o.ns : 0;
-      // The END event's class tag wins when the begin fired before the
-      // class registered (first contended acquire).
-      const std::uint32_t c = cls != kNoClsTag ? cls : o.cls;
-      const std::string& lb = !label.empty() ? label : o.label;
-      if (sc == 1) {
-        out.add_wait(static_cast<std::uint32_t>(pid), c, lb, o.ns, dur);
-      } else if (sc == 2) {
-        out.add_park(c, lb, dur);
-      } else {
-        out.add_hold(c, lb, dur, o.mode, o.site);
-      }
-      continue;
-    }
-    if (is_misuse_kind(kind)) {
+      std::uint64_t site = 0;
+      find_hex(line, "site", site);
+      out.add_hold(cls, label, dur, mode_index(mode), site);
+    } else if (kind == "wait") {
+      out.add_wait(static_cast<std::uint32_t>(pid), cls, label, ns, dur);
+    } else if (kind == "park") {
+      out.add_park(cls, label, dur);
+    } else if (kind == "events-dropped") {
+      std::uint64_t n = 0;
+      find_u64(line, "dropped", n);
+      out.dropped += n;
+    } else if (is_misuse_kind(kind)) {
       ++out.cls_agg(cls, label).misuses;
     }
   }
@@ -288,9 +279,16 @@ void ingest_jsonl(std::istream& in, Analysis& out) {
 
 void ingest_perfetto_event(std::string_view obj, Analysis& out) {
   std::string ph;
-  if (!find_string(obj, "ph", ph) || ph == "M") return;
+  if (!find_string(obj, "ph", ph)) return;
   std::string name;
   find_string(obj, "name", name);
+  if (ph == "M") {
+    std::uint64_t version = 0;
+    if (name == "trace_schema" && find_u64(obj, "version", version)) {
+      out.schema = static_cast<int>(version);
+    }
+    return;
+  }
   std::uint64_t tid = 0, cls64 = kNoClsTag;
   find_u64(obj, "tid", tid);
   find_u64(obj, "cls", cls64);
@@ -319,7 +317,11 @@ void ingest_perfetto_event(std::string_view obj, Analysis& out) {
     }
     return;
   }
-  if (ph == "i" && is_misuse_kind(name)) {
+  if (ph == "i" && name == "events-dropped") {
+    std::uint64_t n = 0;
+    find_u64(obj, "dropped", n);
+    out.dropped += n;
+  } else if (ph == "i" && is_misuse_kind(name)) {
     ++out.cls_agg(cls, label).misuses;
   }
 }
@@ -482,8 +484,8 @@ bool write_json(const char* path, const Analysis& a,
                  static_cast<unsigned long long>(t.max_ns));
     first = false;
   }
-  std::fprintf(f, "],\"unpaired_spans\":%llu}\n",
-               static_cast<unsigned long long>(a.unpaired));
+  std::fprintf(f, "],\"dropped_events\":%llu}\n",
+               static_cast<unsigned long long>(a.dropped));
   std::fclose(f);
   return true;
 }
@@ -545,18 +547,29 @@ int main(int argc, char** argv) {
     ingest_jsonl(lines, a);
   }
 
+  // A trace with events but no v2 schema record is a v1 trace (span
+  // begin/end pairs), which this reader would misread as empty.
+  const int want = resilock::lockdep::kTraceSchemaVersion;
+  if (a.schema != want &&
+      (a.schema != 0 || doc.find("\"kind\":") != std::string::npos ||
+       doc.find("\"ph\":") != std::string::npos)) {
+    std::fprintf(stderr,
+                 "resilock_report: %s is a schema v%d trace; this reader "
+                 "takes v%d only (re-record it with this build)\n",
+                 path, a.schema != 0 ? a.schema : 1, want);
+    return 1;
+  }
+
   const auto reports = to_reports(a);
+  if (a.dropped != 0) {
+    std::fprintf(stdout, "incomplete: %llu events dropped\n",
+                 static_cast<unsigned long long>(a.dropped));
+  }
   // Same renderer as the live lockstat dump; raw-hex sites (symbol
   // resolution in a different process would be fiction).
   resilock::observe::write_report(stdout, reports, top_sites,
                                   /*symbolize=*/false);
   write_thread_timeline(stdout, a, full_timeline);
-  if (a.unpaired != 0) {
-    std::fprintf(stdout,
-                 "\nnote: %llu span end(s) without a begin "
-                 "(ring drops in the traced process)\n",
-                 static_cast<unsigned long long>(a.unpaired));
-  }
   if (json_out != nullptr && !write_json(json_out, a, reports)) {
     std::fprintf(stderr, "resilock_report: cannot write %s\n", json_out);
     return 1;
