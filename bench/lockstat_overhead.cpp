@@ -151,10 +151,6 @@ int main(int argc, char** argv) {
   // Phase 1: uncontended fast path, lockstat off vs on.
   // ------------------------------------------------------------------
   const std::uint32_t hold_sample = observe::lockstat_sample();
-  // First use of the fast clock pays a one-time 2 ms tsc calibration;
-  // take it before any timed region (at the smoke scale a pass is
-  // ~2 ms — calibration inside one would double it).
-  (void)runtime::now_ns_fast();
   double pair_ns_off = 0, pair_ns_on = 0, pair_ns_exact = 0;
   {
     Shield<TasLock> lock;

@@ -168,7 +168,6 @@ int main(int argc, char** argv) {
   const std::uint32_t cores =
       std::max(1u, std::thread::hardware_concurrency());
   const std::uint32_t oversub_threads = cores * 4;
-  (void)runtime::now_ns_fast();  // one-time tsc calibration up front
 
   // ------------------------------------------------------------------
   // Phase 1: uncontended pair, parking off vs on.

@@ -186,7 +186,9 @@ inline bool span_tracing_enabled() noexcept {
   return detail::span_flag().load(std::memory_order_relaxed);
 }
 
+// Like set_lockstat: calibrates the fast clock before any span is timed.
 inline void set_span_tracing(bool on) noexcept {
+  if (on) runtime::calibrate_tsc();
   detail::span_flag().store(on, std::memory_order_relaxed);
 }
 

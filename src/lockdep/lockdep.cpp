@@ -143,7 +143,12 @@ void Graph::unpin_epoch() {
     fallback_pins_.fetch_sub(1, std::memory_order_seq_cst);
     return;
   }
-  readers_[p.slot].epoch.store(0, std::memory_order_seq_cst);
+  // A release store is enough here (seq_cst would be a full barrier on
+  // every nested acquire): only the pin takes part in the store-load
+  // handshake with an epoch bump. try_reclaim loads each slot with
+  // seq_cst, so a reclaimer that sees this 0 synchronizes with it, and
+  // every row read made under the pin happens before the free.
+  readers_[p.slot].epoch.store(0, std::memory_order_release);
 }
 
 std::int32_t Graph::claim_reader_slot() {

@@ -11,8 +11,9 @@
 //     1/kSubBuckets (25%) across the whole 64-bit range in
 //     kBucketCount (252) counters;
 //   * record() is two relaxed fetch_adds plus a rare max CAS, striped
-//     kStripes ways by thread id so concurrent recorders on a hot
-//     class do not serialize on one counter line;
+//     kStripes ways by thread id (recorder_stripe(), which the
+//     call-site tally shares) so concurrent recorders on a hot class
+//     do not serialize on one counter line;
 //   * percentiles are answered from a merged Snapshot by a cumulative
 //     bucket walk, returning the bucket midpoint — within one bucket
 //     width of the true value, which the sub-bucket resolution bounds.
@@ -34,6 +35,20 @@ namespace resilock::observe {
 
 inline constexpr std::size_t kSubBucketBits = 2;
 inline constexpr std::size_t kSubBuckets = std::size_t{1} << kSubBucketBits;
+// Recorder striping, shared by every lockstat counter block (these
+// histograms and the call-site tally, observe/callsite.hpp): kStripes
+// copies, each on its own cache lines, and the calling thread's index
+// into them. Threads past kStripes share a stripe; readers sum the
+// stripes, so every aggregate stays exact. Four is enough to take
+// the serialization off a hot class without blowing the lazy
+// per-class footprint (allocated only for classes that record).
+inline constexpr std::size_t kStripes = 4;
+static_assert((kStripes & (kStripes - 1)) == 0, "kStripes: power of two");
+
+inline std::size_t recorder_stripe() noexcept {
+  return static_cast<std::size_t>(platform::self_pid()) & (kStripes - 1);
+}
+
 // Max index: msb 63 -> shift 61 -> (61 + 1) * 4 + 3 = 251.
 inline constexpr std::size_t kBucketCount =
     (64 - kSubBucketBits + 1) * kSubBuckets;
@@ -108,17 +123,11 @@ struct HistogramSnapshot {
 
 class LogHistogram {
  public:
-  // Stripes trade memory for recorder independence. Four is enough to
-  // take the serialization off a hot class without blowing the lazy
-  // per-class footprint (4 stripes x 252 counters x 8 B ~= 8 KiB per
-  // histogram, allocated only for classes that actually record).
-  static constexpr std::size_t kStripes = 4;
-
   // Two RMWs on the hot path (bucket, total); the sample count is
   // derived at snapshot time as the sum of the buckets, which the
   // bucket RMWs keep exact.
   void record(std::uint64_t v) noexcept {
-    Stripe& s = stripe_for_thread();
+    Stripe& s = stripes_[recorder_stripe()];
     s.counts[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
     s.total.fetch_add(v, std::memory_order_relaxed);
     std::uint64_t cur = s.max.load(std::memory_order_relaxed);
@@ -158,11 +167,7 @@ class LogHistogram {
     std::atomic<std::uint64_t> max{0};
   };
 
-  Stripe& stripe_for_thread() noexcept {
-    return stripes_[static_cast<std::size_t>(platform::self_pid()) &
-                    (kStripes - 1)];
-  }
-
+  // 4 stripes x 252 counters x 8 B ~= 8 KiB per histogram.
   Stripe stripes_[kStripes];
 };
 

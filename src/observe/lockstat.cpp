@@ -152,6 +152,8 @@ std::vector<ClassReport> LockStat::report() const {
                       static_cast<unsigned>(lockdep::class_slot(r.cls)));
         r.label = buf;
       }
+      // One row per site, merged over the recorder stripes; overflow
+      // counts acquisitions that found their own stripe's table full.
       r.site_overflow = s->sites.overflow();
       s->sites.for_each([&r](std::uintptr_t addr, std::uint64_t count) {
         r.sites.push_back(CallSiteRow{addr, count});
@@ -304,7 +306,7 @@ void write_report(std::FILE* f, const std::vector<ClassReport>& classes,
                      row.site, sym);
       }
       if (r.site_overflow != 0) {
-        std::fprintf(f, "    (+%llu acquisitions from other sites)\n",
+        std::fprintf(f, "    (+%llu acquisitions past a full table)\n",
                      static_cast<unsigned long long>(r.site_overflow));
       }
     }

@@ -18,6 +18,13 @@
 //     symbolized lazily (dladdr) at report time;
 //   * mode-tagged acquisition counts for the rw family.
 //
+// The per-acquisition counters (call-site tally, histograms) are kept
+// per recorder stripe, each stripe on its own cache lines, so threads
+// handing a hot class to each other do not also hand over a counter
+// line inside the held window. Every reader sums the stripes: totals,
+// reports, metrics and the live dump are exact at every moment, with
+// no per-thread caches or flushes.
+//
 // Gating: everything above is behind lockstat_enabled() — one relaxed
 // flag load on the acquire paths, the exact pattern span tracing set
 // (RESILOCK_LOCKSTAT env seed, set_lockstat()/LockstatGuard at
@@ -90,7 +97,10 @@ inline bool lockstat_enabled() noexcept {
   return detail::lockstat_flag().load(std::memory_order_relaxed);
 }
 
+// Turning lockstat on calibrates the fast clock first, here on the
+// caller's cold path rather than inside the first timed hold.
 inline void set_lockstat(bool on) noexcept {
+  if (on) runtime::calibrate_tsc();
   detail::lockstat_flag().store(on, std::memory_order_relaxed);
 }
 
@@ -164,7 +174,9 @@ inline constexpr std::size_t kAccessModes = 3;  // AccessMode values
 // Derived rather than stored (hot-path RMWs are the whole overhead
 // budget): acquisitions by mode = the call-site table's per-mode
 // totals, contentions = wait.count — on_acquired pays one counter bump
-// (its site's), on_contended_wait only its histogram's.
+// (its site's, on the recorder's stripe), on_contended_wait only its
+// histogram's. The striped members are nearly all of this block's
+// ~17 KiB; the rare-path tallies stay single shared words.
 struct ClassStats {
   LogHistogram wait;  // contended-acquire wait, ns
   LogHistogram hold;  // base acquire .. balanced release, ns
@@ -325,14 +337,15 @@ inline void on_contended_wait(lockdep::ClassId cls,
 }
 
 // A fresh base acquisition completed (blocking or try path). Tallies
-// the acquisition under its call site and mode (one exact counter) and
-// says whether this hold's window is sampled: 1-in-lockstat_sample()
-// acquisitions per thread. The decimation counter is per-thread and
-// shared across classes, so a hot class is sampled at the configured
-// rate regardless of what else the thread locks. The window itself
-// lives in the hold's held-record entry (its timed part), where a
-// traced hold's record shares its two timestamps; per-thread windows
-// are what rw read holds, with many simultaneous holders, need.
+// the acquisition under its call site and mode (one exact counter, on
+// the recorder's stripe) and says whether this hold's window is
+// sampled: 1-in-lockstat_sample() acquisitions per thread. The
+// decimation counter is per-thread and shared across classes, so a hot
+// class is sampled at the configured rate regardless of what else the
+// thread locks. The window itself lives in the hold's held-record
+// entry (its timed part), where a traced hold's record shares its two
+// timestamps; per-thread windows are what rw read holds, with many
+// simultaneous holders, need.
 inline bool on_acquired(lockdep::ClassId cls, AccessMode mode,
                         const void* site) {
   ClassStats* s = LockStat::instance().stats_for(cls);

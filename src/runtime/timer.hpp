@@ -1,6 +1,7 @@
 // Monotonic timing helpers.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 
@@ -19,14 +20,27 @@ inline std::uint64_t now_ns() noexcept {
 // now_ns(). The calibration also fixes an offset, so a reading starts
 // out on now_ns()'s epoch; the two clocks then drift apart by the rate
 // error (<0.1%; modern x86 has constant_tsc so the rate holds across
-// cores and frequency scaling). Mix readings of one clock or the
-// other, never both: every trace timestamp comes from this one.
+// cores and frequency scaling). Every trace timestamp comes from this
+// one clock.
+//
+// The calibration waits out a 250 us window, so it runs on cold paths
+// only, never on the first timed hold: calibrate_tsc() is called by
+// whatever turns timing on (set_lockstat, set_span_tracing) and by the
+// telemetry collector thread as it starts. Until it has finished,
+// now_ns_fast() returns now_ns() itself — the epoch the calibration
+// pins the tick clock to — so nothing ever waits for it, and the
+// switch-over is a step of at most the calibration's bracket error.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 namespace detail {
 struct TscScale {
   std::uint64_t mult;    // ns per tick, 32.32 fixed point
   std::uint64_t offset;  // added (mod 2^64) to reach now_ns()'s epoch
 };
+
+// Written once by calibrate_tsc(), before tsc_ready is set; read only
+// after tsc_ready is seen set.
+inline TscScale tsc_scale{std::uint64_t{1} << 32, 0};
+inline std::atomic<bool> tsc_ready{false};
 
 // One (steady ns, tick) pair: the tick reading is the midpoint of two
 // that bracket the clock read, and of a few tries the tightest bracket
@@ -50,32 +64,44 @@ inline ClockPair clock_pair() noexcept {
   return best;
 }
 
-// Calibrated once against the steady clock over a 250 us window (the
-// first caller waits it out); the per-call conversion is one 64x64->128
-// multiply and an add.
-inline const TscScale& tsc_scale() noexcept {
-  static const TscScale scale = [] {
-    const ClockPair a = clock_pair();
-    while (now_ns() - a.ns < 250000) {
-    }
-    const ClockPair b = clock_pair();
-    TscScale s{std::uint64_t{1} << 32, 0};  // 1 ns/tick fallback
-    if (b.tick > a.tick) {
-      s.mult = static_cast<std::uint64_t>(static_cast<double>(b.ns - a.ns) /
-                                          static_cast<double>(b.tick - a.tick) *
-                                          4294967296.0);
-    }
-    s.offset = b.ns - static_cast<std::uint64_t>(
-                          (static_cast<unsigned __int128>(b.tick) * s.mult) >>
-                          32);
-    return s;
-  }();
-  return scale;
+inline TscScale measure_tsc_scale() noexcept {
+  const ClockPair a = clock_pair();
+  while (now_ns() - a.ns < 250000) {
+  }
+  const ClockPair b = clock_pair();
+  TscScale s{std::uint64_t{1} << 32, 0};  // 1 ns/tick fallback
+  if (b.tick > a.tick) {
+    s.mult = static_cast<std::uint64_t>(static_cast<double>(b.ns - a.ns) /
+                                        static_cast<double>(b.tick - a.tick) *
+                                        4294967296.0);
+  }
+  s.offset = b.ns - static_cast<std::uint64_t>(
+                        (static_cast<unsigned __int128>(b.tick) * s.mult) >>
+                        32);
+  return s;
 }
 }  // namespace detail
 
+// Calibrates the tick clock against the steady clock, once per process
+// (a concurrent second caller waits for the first). Cold paths only.
+inline void calibrate_tsc() noexcept {
+  static const bool done = [] {
+    detail::tsc_scale = detail::measure_tsc_scale();
+    detail::tsc_ready.store(true, std::memory_order_release);
+    return true;
+  }();
+  (void)done;
+}
+
+// True once calibrate_tsc() has finished: from then on now_ns_fast()
+// reads the tick clock.
+inline bool tsc_calibrated() noexcept {
+  return detail::tsc_ready.load(std::memory_order_acquire);
+}
+
 inline std::uint64_t now_ns_fast() noexcept {
-  const detail::TscScale& s = detail::tsc_scale();
+  if (!detail::tsc_ready.load(std::memory_order_acquire)) return now_ns();
+  const detail::TscScale& s = detail::tsc_scale;
   return static_cast<std::uint64_t>(
              (static_cast<unsigned __int128>(__builtin_ia32_rdtsc()) *
               s.mult) >>
@@ -83,6 +109,8 @@ inline std::uint64_t now_ns_fast() noexcept {
          s.offset;
 }
 #else
+inline void calibrate_tsc() noexcept {}
+inline bool tsc_calibrated() noexcept { return true; }
 inline std::uint64_t now_ns_fast() noexcept { return now_ns(); }
 #endif
 

@@ -219,17 +219,19 @@ class ShieldCore {
   // A blocking acquisition after interception: order edges at the
   // ATTEMPT (an acquisition about to close an AB/BA cycle is flagged
   // before it can wedge), the base's own acquire `op` — bracketed when
-  // the caller saw the lock held — and the acquired bookkeeping.
+  // the caller saw the lock held — and the acquired bookkeeping. A
+  // timed wait's end reading is also the start of the hold it won.
   template <typename Op>
   void acquire_base(HeldLockTable& tbl, AccessMode mode, Context& ctx,
                     bool fresh, bool contended, const void* site, Op&& op) {
     lockdep_attempt(tbl, mode);
+    std::uint64_t wait_end_ns = 0;
     if (contended) {
-      wait_bracket(mode, site, op);
+      wait_end_ns = wait_bracket(mode, site, op);
     } else {
       op();
     }
-    note_acquired(tbl, mode, ctx, fresh, site);
+    note_acquired(tbl, mode, ctx, fresh, site, wait_end_ns);
   }
 
   // After the base granted the lock (blocking or try path). Only a
@@ -239,8 +241,10 @@ class ShieldCore {
   // matching extra release too — a depth bump would swallow it (and
   // skew a counting ReadIndicator forever); it looks its entry up
   // again (the edge walk may have moved it), a cold path.
+  // `wait_end_ns`: the end reading of a timed wait just before (0: none).
   void note_acquired(HeldLockTable& tbl, AccessMode mode, Context& ctx,
-                     bool fresh, const void* site) {
+                     bool fresh, const void* site,
+                     std::uint64_t wait_end_ns = 0) {
     HeldLockTable::Hold* h =
         fresh ? &tbl.insert(this, {.depth = 1, .mode = mode})
               : tbl.find_held(this);
@@ -265,7 +269,9 @@ class ShieldCore {
     if (fresh) {
       const bool lockstat = observe::lockstat_enabled();
       const bool traced = lockdep::span_tracing_enabled();
-      if (lockstat || traced) open_hold(*h, mode, site, lockstat, traced);
+      if (lockstat || traced) {
+        open_hold(*h, mode, site, lockstat, traced, wait_end_ns);
+      }
     }
   }
 
@@ -486,16 +492,17 @@ class ShieldCore {
   // timestamps. The park layer sits below observe/ and cannot name
   // lockdep classes, so the class is stamped into the thread's park
   // tally for the window (it rides on park records) and the tally delta
-  // is credited to the class afterwards.
+  // is credited to the class afterwards. Returns the end reading (0
+  // when untimed), which open_hold() reuses as the hold's start.
   template <typename Op>
-  void wait_bracket(AccessMode mode, const void* site, Op& op) {
+  std::uint64_t wait_bracket(AccessMode mode, const void* site, Op& op) {
     const bool lockstat = observe::lockstat_enabled();
     const bool span = lockdep::span_tracing_enabled();
     if (!lockstat && !span) {
       contention_.begin_wait();
       op();
       contention_.end_wait();
-      return;
+      return 0;
     }
     const std::uint64_t t0 = runtime::now_ns_fast();
     contention_.begin_wait();
@@ -520,13 +527,17 @@ class ShieldCore {
       }
       observe::on_contended_wait(cls, t1 - t0);
     }
+    return t1;
   }
 
   // Times a fresh hold for lockstat's sampled window and/or its trace
   // record: one timestamp here and one in close_hold(), whoever reads
-  // them. The acquisition tally is exact; only the window is sampled.
+  // them. After a timed wait the start is the wait's end reading
+  // `wait_end_ns`, so the acquires that have waiters read the clock
+  // once less inside the held window. The acquisition tally is exact;
+  // only the window is sampled.
   void open_hold(HeldLockTable::Hold& h, AccessMode mode, const void* site,
-                 bool lockstat, bool traced) {
+                 bool lockstat, bool traced, std::uint64_t wait_end_ns) {
     bool sampled = false;
     if (lockstat) {
       const lockdep::ClassId cls = ensure_class();
@@ -538,7 +549,8 @@ class ShieldCore {
     h.traced = traced;
     h.site = reinterpret_cast<std::uint64_t>(site);
     // 0 means "not timed"; the low bit costs at most 1 ns.
-    h.hold_begin_ns = runtime::now_ns_fast() | 1;
+    h.hold_begin_ns =
+        (wait_end_ns != 0 ? wait_end_ns : runtime::now_ns_fast()) | 1;
   }
 
   // The balanced release of a timed hold: lockstat's window and the

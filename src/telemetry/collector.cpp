@@ -134,6 +134,11 @@ struct Collector::Impl {
     // makes must reach glibc directly — the collector's entire lifetime
     // is resilock machinery, never application lock traffic.
     interpose::preload_pin_thread();
+    // An env-seeded lockstat or span flag turns timing on with no
+    // set_*() call; the collector starts on a lock's cold init path,
+    // so calibrating here keeps the clock's 250 us out of every hold
+    // and off the application's own start-up.
+    runtime::calibrate_tsc();
     std::uint64_t cur_sleep = kMinSleepUs;
     for (;;) {
       bool pressed = false;

@@ -38,6 +38,8 @@
 #include "observe/callsite.hpp"
 #include "observe/histogram.hpp"
 #include "observe/lockstat.hpp"
+#include "platform/cacheline.hpp"
+#include "platform/thread_registry.hpp"
 #include "response/response.hpp"
 #include "runtime/thread_team.hpp"
 #include "shield/rw_shield.hpp"
@@ -225,6 +227,18 @@ TEST(LockstatCallSites, RecordsDistinctSitesAndCountsOverflow) {
   t.for_each([&](std::uintptr_t, std::uint64_t) { ++after; });
   EXPECT_EQ(after, 0u);
   EXPECT_EQ(t.overflow(), 0u);
+}
+
+TEST(LockstatCallSites, StripesShareNoCacheLine) {
+  // Each recorder stripe is a whole number of cache lines and starts on
+  // a line boundary, so two stripes never share a line.
+  using observe::CallSiteTable;
+  static_assert(CallSiteTable::stripe_bytes() % platform::kCacheLineSize ==
+                0);
+  static_assert(alignof(CallSiteTable) >= platform::kCacheLineSize);
+  static_assert(sizeof(CallSiteTable) ==
+                observe::kStripes * CallSiteTable::stripe_bytes());
+  SUCCEED();
 }
 
 // ---------------------------------------------------------------------
@@ -423,6 +437,80 @@ TEST_F(LockstatShieldTest, RwAcquisitionsTallyUnderTheirMode) {
   const LockStat::Totals t = LockStat::instance().totals();
   EXPECT_GE(t.acquisitions, kReads + kWrites);
   EXPECT_GE(t.classes, 1u);
+}
+
+TEST_F(LockstatShieldTest, StripedTallyMergesSitesAndStaysExact) {
+  // More threads than stripes, so stripes are shared: every thread
+  // takes one class at two call sites, site A in write mode and site B
+  // in both modes. Each site must come back as ONE row carrying its
+  // exact count, however many stripes claimed it.
+  using Np = CrwLock<kOriginal, SplitReadIndicator, RwPreference::kNeutral>;
+  shield::RwShield<Np> rw;
+  rw.set_lockdep_label("lockstat.striped");
+  constexpr std::uint32_t kThreads = 2 * observe::kStripes + 1;
+  constexpr std::uint64_t kPer = 500;
+  static char site_a, site_b;
+  std::atomic<std::uint32_t> registered{0};
+  runtime::ThreadTeam::run(kThreads, [&](std::uint32_t) {
+    // Every thread holds its dense pid before any records, so all
+    // kThreads pids are distinct and every stripe has several users.
+    (void)platform::self_pid();
+    registered.fetch_add(1);
+    while (registered.load() < kThreads) std::this_thread::yield();
+    Np::Context ctx;
+    for (std::uint64_t i = 0; i < kPer; ++i) {
+      {
+        observe::InterposedSiteScope at(&site_a);
+        rw.wlock(ctx);
+        EXPECT_TRUE(rw.wunlock(ctx));
+      }
+      observe::InterposedSiteScope at(&site_b);
+      rw.wlock(ctx);
+      EXPECT_TRUE(rw.wunlock(ctx));
+      rw.rlock(ctx);
+      EXPECT_TRUE(rw.runlock(ctx));
+    }
+  });
+  constexpr std::uint64_t kWrites = 2 * kThreads * kPer;
+  constexpr std::uint64_t kReads = kThreads * kPer;
+  const auto classes = LockStat::instance().report();
+  const ClassReport* c = find_class(classes, "lockstat.striped");
+  ASSERT_NE(c, nullptr);
+  ASSERT_EQ(c->sites.size(), 2u);
+  EXPECT_EQ(c->site_overflow, 0u);
+  // Sorted by count: B (writes + reads) before A (writes).
+  EXPECT_EQ(c->sites[0].site, reinterpret_cast<std::uintptr_t>(&site_b));
+  EXPECT_EQ(c->sites[0].count, 2 * kThreads * kPer);
+  EXPECT_EQ(c->sites[1].site, reinterpret_cast<std::uintptr_t>(&site_a));
+  EXPECT_EQ(c->sites[1].count, kThreads * kPer);
+  // The write side reconciles with the shield's own (lock-ordered)
+  // tally; its read tally is telemetry-grade (a read-stripe collision
+  // can lose a bump), so reads are held to the scripted count.
+  const auto snap = rw.snapshot();
+  EXPECT_EQ(snap.write_acquisitions, kWrites);
+  const auto mode = [&](AccessMode m) {
+    return c->by_mode[static_cast<std::size_t>(m)];
+  };
+  EXPECT_EQ(mode(AccessMode::kWrite), snap.write_acquisitions);
+  EXPECT_EQ(mode(AccessMode::kRead), kReads);
+  EXPECT_EQ(mode(AccessMode::kExclusive), 0u);
+  EXPECT_LE(snap.read_acquisitions, kReads);
+  EXPECT_EQ(c->acquisitions, kWrites + kReads);
+  EXPECT_EQ(LockStat::instance().totals().acquisitions, kWrites + kReads);
+
+  // reset() zeroes every stripe: no rows, no mode counts, no overflow.
+  LockStat::instance().reset();
+  const observe::ClassStats* st =
+      LockStat::instance().peek(rw.lockdep_class());
+  ASSERT_NE(st, nullptr);
+  std::size_t rows = 0;
+  st->sites.for_each([&](std::uintptr_t, std::uint64_t) { ++rows; });
+  EXPECT_EQ(rows, 0u);
+  EXPECT_EQ(st->sites.overflow(), 0u);
+  for (std::size_t m = 0; m < observe::kAccessModes; ++m) {
+    EXPECT_EQ(st->sites.mode_total(m), 0u) << m;
+  }
+  EXPECT_EQ(LockStat::instance().totals().acquisitions, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -132,6 +132,52 @@ TEST(TelemetryAbortDeathTest, AbortVerdictLandsItsTraceOnDisk) {
 }
 
 // ---------------------------------------------------------------------
+// Fast-clock calibration: on a cold path, never inside a timed hold.
+// Each case runs in a fresh process, where nothing has calibrated yet.
+// ---------------------------------------------------------------------
+
+namespace {
+
+// Exits 0 when the process starts uncalibrated and `turn_on` leaves
+// the clock calibrated before the first timed hold.
+[[noreturn]] void calibrated_before_first_hold(void (*turn_on)()) {
+  const bool fresh = !runtime::tsc_calibrated();
+  turn_on();
+  const bool ready = runtime::tsc_calibrated();
+  Shield<TasLock> lock;
+  lock.acquire();
+  lock.release();
+  std::_Exit(fresh && ready ? 0 : 1);
+}
+
+// Exits 0 when the collector thread calibrates a fresh process by
+// itself: the env-seeded path, where no set_*() call turns timing on.
+[[noreturn]] void collector_calibrates() {
+  const bool fresh = !runtime::tsc_calibrated();
+  Collector::instance().start();
+  for (int i = 0; i < 2000 && !runtime::tsc_calibrated(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::_Exit(fresh && runtime::tsc_calibrated() ? 0 : 1);
+}
+
+}  // namespace
+
+TEST(TscCalibrationDeathTest, CalibratedOnColdPathsBeforeTheFirstHold) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "now_ns_fast() is now_ns() here: nothing to calibrate";
+#endif
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      calibrated_before_first_hold([] { observe::set_lockstat(true); }),
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(
+      calibrated_before_first_hold([] { lockdep::set_span_tracing(true); }),
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(collector_calibrates(), ::testing::ExitedWithCode(0), "");
+}
+
+// ---------------------------------------------------------------------
 // EventRing: runtime capacity.
 // ---------------------------------------------------------------------
 
@@ -453,6 +499,41 @@ TEST(Spans, RecordsMatchHoldsWaitsAndLockstatWindows) {
   const auto wait1 = st->wait.snapshot();
   EXPECT_EQ(wait1.count - wait0.count, waits);
   EXPECT_EQ(wait1.total - wait0.total, wait_ns);
+}
+
+TEST(Spans, ContendedHoldStartsAtItsWaitsEnd) {
+  // A forced contended acquire with spans on: the hold it wins starts
+  // at the wait's end reading, not at a second one, so the wait record
+  // ends exactly where the waiter's hold record begins (the hold's
+  // begin carries the low "timed" bit).
+  clear_trace();
+  lockdep::SpanTracingGuard spans(true);
+  Shield<TasLock> lock;
+  std::atomic<bool> held{false};
+  std::thread holder([&] {
+    lock.acquire();
+    held.store(true, std::memory_order_release);
+    while (lock.waiters() == 0) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    lock.release();
+  });
+  while (!held.load(std::memory_order_acquire)) std::this_thread::yield();
+  lock.acquire();
+  lock.release();
+  holder.join();
+  const std::uint32_t me = platform::self_pid();
+  const TraceEvent* wait = nullptr;
+  const TraceEvent* hold = nullptr;
+  const auto evs = events_on(&lock);
+  for (const auto& e : evs) {
+    if (e.pid != me) continue;
+    if (e.kind == EventKind::kWait) wait = &e;
+    if (e.kind == EventKind::kHold) hold = &e;
+  }
+  ASSERT_NE(wait, nullptr);
+  ASSERT_NE(hold, nullptr);
+  EXPECT_GT(wait->dur_ns, 0u);
+  EXPECT_EQ((wait->ns + wait->dur_ns) | 1, hold->ns);
 }
 
 TEST(Spans, OverlappingHoldsThatDoNotNestAreTwoSlices) {
