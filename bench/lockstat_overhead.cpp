@@ -17,8 +17,9 @@
 //               lockdep and telemetry benches use).
 //
 //   contended   N threads fight over one labeled shield with lockstat
-//               on; reports the wait/hold percentiles the histograms
-//               reconstructed and the reconciliation checks: lockstat
+//               on, each hold a short busy-work section; reports the
+//               wait/hold percentiles the histograms reconstructed and
+//               the reconciliation checks: lockstat
 //               contentions == the shield's ContentionProbe total and
 //               lockstat acquisitions == iterations (both exact — the
 //               hooks sit on the same branches the probe counts).
@@ -97,11 +98,24 @@ ContendedRun run_contended(const char* label, std::uint32_t threads,
   lock.set_lockdep_label(label);
   runtime::SenseBarrier start(threads);
   runtime::ThreadTeam::run(threads, [&](std::uint32_t) {
+    std::uint64_t sink = 0;
     start.arrive_and_wait();
     for (std::uint64_t i = 0; i < per_thread; ++i) {
       lock.acquire();
+      // A short critical section, so arrivals find the lock held and
+      // the wait counters have something to reconcile. Every 64th hold
+      // also gives up the CPU inside the section and after it: a short
+      // run's threads can share one CPU before the scheduler spreads
+      // them, and a TAS holder re-takes its own lock before a spinning
+      // waiter looks, so without the yields such a run sees almost no
+      // waits (4 in 800k pairs before they were added).
+      sink ^= runtime::busy_work(64, sink + i);
+      const bool yield = i % 64 == 0;
+      if (yield) std::this_thread::yield();
       lock.release();
+      if (yield) std::this_thread::yield();
     }
+    if (sink == 42) std::fputc(0, stderr);  // keep the chain alive
   });
 
   ContendedRun r;

@@ -38,15 +38,21 @@
 //      waiting or acquiring anything; glibc's on reentered or pinned
 //      ones, matching their own lock calls.
 //
-// Deliberate non-goals, as in LiTL: mutex/rwlock attributes are
-// ignored (a recursive-attr relock surfaces as the shield's
-// reentrant-relock event), PI/robust protocols are not emulated, and
-// fork() without exec() is unsupported (resilock_drive exec()s). The
-// cond clock attribute IS honoured; a CLOCK_REALTIME deadline is
-// re-based onto CLOCK_MONOTONIC once, at the call, so a wall-clock step
-// during the wait does not move it. Cond waits stay cancellation
-// points. A PTHREAD_PROCESS_SHARED condvar stays per-process (private
-// futex ops), as before.
+// The rwlock kind IS honoured: adoption reads it from the lock's own
+// bytes (after glibc's pthread_rwlock_init, or from a static
+// initializer) and builds C-RW-RP for glibc's reader-preference kinds,
+// C-RW-WP for PREFER_WRITER_NONRECURSIVE_NP. A PTHREAD_PROCESS_SHARED
+// rwlock passes through to glibc unadopted, so processes sharing it
+// still exclude each other. Deliberate non-goals, as in LiTL: mutex
+// attributes are ignored (a recursive-attr relock surfaces as the
+// shield's reentrant-relock event; a pshared mutex is adopted per
+// process), PI/robust protocols are not emulated, and fork() without
+// exec() is unsupported (resilock_drive exec()s). The cond clock
+// attribute IS honoured; a CLOCK_REALTIME deadline is re-based onto
+// CLOCK_MONOTONIC once, at the call, so a wall-clock step during the
+// wait does not move it. Cond waits stay cancellation points. A
+// PTHREAD_PROCESS_SHARED condvar stays per-process (private futex ops),
+// as before.
 //
 // The clock-based entry points (pthread_mutex_clocklock,
 // pthread_rwlock_clock{rd,wr}lock, pthread_cond_clockwait; glibc 2.30+)
@@ -219,6 +225,29 @@ int clock_deadline_to_realtime(clockid_t clockid, const timespec* abstime,
   return 0;
 }
 
+// glibc's clock variants, or their realtime translation on a libc
+// older than 2.30: what a reentered thread, or any thread operating a
+// pass-through rwlock, runs.
+int real_rwlock_clockrdlock(pthread_rwlock_t* rw, clockid_t clockid,
+                            const timespec* abstime) {
+  if (real().rwlock_clockrdlock != nullptr) {
+    return real().rwlock_clockrdlock(rw, clockid, abstime);
+  }
+  timespec wall;
+  const int rc = clock_deadline_to_realtime(clockid, abstime, &wall);
+  return rc != 0 ? rc : real().rwlock_timedrdlock(rw, &wall);
+}
+
+int real_rwlock_clockwrlock(pthread_rwlock_t* rw, clockid_t clockid,
+                            const timespec* abstime) {
+  if (real().rwlock_clockwrlock != nullptr) {
+    return real().rwlock_clockwrlock(rw, clockid, abstime);
+  }
+  timespec wall;
+  const int rc = clock_deadline_to_realtime(clockid, abstime, &wall);
+  return rc != 0 ? rc : real().rwlock_timedwrlock(rw, &wall);
+}
+
 // ---------------------------------------------------------------------
 // Native condvars (mechanism 3): the app's pthread_cond_t bytes ARE the
 // park::CondWord, on every thread.
@@ -279,6 +308,9 @@ int cond_wait_routed(pthread_cond_t* c, pthread_mutex_t* m,
 //   guard + site-override scopes        — internals forward; lockstat
 //                                         attributes to the app frame
 //   route through registry + rl_* shim
+//
+// An rwlock the registry passes through (pshared: no handle) goes to
+// glibc from the last step, on every thread.
 //
 // The guard must open BEFORE the registry call: adoption itself runs
 // resilock machinery. The pthread_cond_* ones never forward (mechanism
@@ -372,28 +404,34 @@ int pthread_rwlock_rdlock(pthread_rwlock_t* rw) {
   if (ri::preload_reentered()) return real().rwlock_rdlock(rw);
   ri::PreloadReentryScope guard;
   resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
-  return ri::rl_rwlock_rdlock(reg().rwlock_for(rw));
+  ri::rl_rwlock_t* h = reg().rwlock_for(rw);
+  return h != nullptr ? ri::rl_rwlock_rdlock(h) : real().rwlock_rdlock(rw);
 }
 
 int pthread_rwlock_wrlock(pthread_rwlock_t* rw) {
   if (ri::preload_reentered()) return real().rwlock_wrlock(rw);
   ri::PreloadReentryScope guard;
   resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
-  return ri::rl_rwlock_wrlock(reg().rwlock_for(rw));
+  ri::rl_rwlock_t* h = reg().rwlock_for(rw);
+  return h != nullptr ? ri::rl_rwlock_wrlock(h) : real().rwlock_wrlock(rw);
 }
 
 int pthread_rwlock_tryrdlock(pthread_rwlock_t* rw) {
   if (ri::preload_reentered()) return real().rwlock_tryrdlock(rw);
   ri::PreloadReentryScope guard;
   resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
-  return ri::rl_rwlock_tryrdlock(reg().rwlock_for(rw));
+  ri::rl_rwlock_t* h = reg().rwlock_for(rw);
+  return h != nullptr ? ri::rl_rwlock_tryrdlock(h)
+                      : real().rwlock_tryrdlock(rw);
 }
 
 int pthread_rwlock_trywrlock(pthread_rwlock_t* rw) {
   if (ri::preload_reentered()) return real().rwlock_trywrlock(rw);
   ri::PreloadReentryScope guard;
   resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
-  return ri::rl_rwlock_trywrlock(reg().rwlock_for(rw));
+  ri::rl_rwlock_t* h = reg().rwlock_for(rw);
+  return h != nullptr ? ri::rl_rwlock_trywrlock(h)
+                      : real().rwlock_trywrlock(rw);
 }
 
 int pthread_rwlock_timedrdlock(pthread_rwlock_t* rw,
@@ -403,7 +441,9 @@ int pthread_rwlock_timedrdlock(pthread_rwlock_t* rw,
   }
   ri::PreloadReentryScope guard;
   resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
-  return ri::rl_rwlock_timedrdlock(reg().rwlock_for(rw), abstime);
+  ri::rl_rwlock_t* h = reg().rwlock_for(rw);
+  return h != nullptr ? ri::rl_rwlock_timedrdlock(h, abstime)
+                      : real().rwlock_timedrdlock(rw, abstime);
 }
 
 int pthread_rwlock_timedwrlock(pthread_rwlock_t* rw,
@@ -413,58 +453,54 @@ int pthread_rwlock_timedwrlock(pthread_rwlock_t* rw,
   }
   ri::PreloadReentryScope guard;
   resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
-  return ri::rl_rwlock_timedwrlock(reg().rwlock_for(rw), abstime);
+  ri::rl_rwlock_t* h = reg().rwlock_for(rw);
+  return h != nullptr ? ri::rl_rwlock_timedwrlock(h, abstime)
+                      : real().rwlock_timedwrlock(rw, abstime);
 }
 
 int pthread_rwlock_clockrdlock(pthread_rwlock_t* rw, clockid_t clockid,
                                const timespec* abstime) {
   if (ri::preload_reentered()) {
-    if (real().rwlock_clockrdlock != nullptr) {
-      return real().rwlock_clockrdlock(rw, clockid, abstime);
-    }
-    timespec wall;
-    const int rc = clock_deadline_to_realtime(clockid, abstime, &wall);
-    return rc != 0 ? rc : real().rwlock_timedrdlock(rw, &wall);
+    return real_rwlock_clockrdlock(rw, clockid, abstime);
   }
   ri::PreloadReentryScope guard;
   resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
+  ri::rl_rwlock_t* h = reg().rwlock_for(rw);
+  if (h == nullptr) return real_rwlock_clockrdlock(rw, clockid, abstime);
   timespec wall;
   const int rc = clock_deadline_to_realtime(clockid, abstime, &wall);
-  if (rc != 0) return rc;
-  return ri::rl_rwlock_timedrdlock(reg().rwlock_for(rw), &wall);
+  return rc != 0 ? rc : ri::rl_rwlock_timedrdlock(h, &wall);
 }
 
 int pthread_rwlock_clockwrlock(pthread_rwlock_t* rw, clockid_t clockid,
                                const timespec* abstime) {
   if (ri::preload_reentered()) {
-    if (real().rwlock_clockwrlock != nullptr) {
-      return real().rwlock_clockwrlock(rw, clockid, abstime);
-    }
-    timespec wall;
-    const int rc = clock_deadline_to_realtime(clockid, abstime, &wall);
-    return rc != 0 ? rc : real().rwlock_timedwrlock(rw, &wall);
+    return real_rwlock_clockwrlock(rw, clockid, abstime);
   }
   ri::PreloadReentryScope guard;
   resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
+  ri::rl_rwlock_t* h = reg().rwlock_for(rw);
+  if (h == nullptr) return real_rwlock_clockwrlock(rw, clockid, abstime);
   timespec wall;
   const int rc = clock_deadline_to_realtime(clockid, abstime, &wall);
-  if (rc != 0) return rc;
-  return ri::rl_rwlock_timedwrlock(reg().rwlock_for(rw), &wall);
+  return rc != 0 ? rc : ri::rl_rwlock_timedwrlock(h, &wall);
 }
 
 int pthread_rwlock_unlock(pthread_rwlock_t* rw) {
   if (ri::preload_reentered()) return real().rwlock_unlock(rw);
   ri::PreloadReentryScope guard;
   resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
-  return ri::rl_rwlock_unlock(reg().rwlock_for(rw));
+  ri::rl_rwlock_t* h = reg().rwlock_for(rw);
+  return h != nullptr ? ri::rl_rwlock_unlock(h) : real().rwlock_unlock(rw);
 }
 
 int pthread_rwlock_destroy(pthread_rwlock_t* rw) {
   if (ri::preload_reentered()) return real().rwlock_destroy(rw);
   ri::PreloadReentryScope guard;
-  const int rc = reg().destroy_rwlock(rw);
-  real().rwlock_destroy(rw);
-  return rc;
+  // An adopted lock's own bytes are still a valid idle glibc rwlock, so
+  // glibc's destroy answers for adopted and pass-through locks alike.
+  reg().destroy_rwlock(rw);
+  return real().rwlock_destroy(rw);
 }
 
 int pthread_cond_init(pthread_cond_t* c, const pthread_condattr_t* a) {
@@ -544,13 +580,17 @@ __attribute__((destructor)) void preload_dtor() {
           "{\"adopted_mutexes\":%llu,\"init_mutexes\":%llu,"
           "\"destroyed_mutexes\":%llu,\"adopted_rwlocks\":%llu,"
           "\"init_rwlocks\":%llu,\"destroyed_rwlocks\":%llu,"
-          "\"live_nodes\":%llu}\n",
+          "\"rwlocks_reader_pref\":%llu,\"rwlocks_writer_pref\":%llu,"
+          "\"rwlocks_passthrough\":%llu,\"live_nodes\":%llu}\n",
           static_cast<unsigned long long>(s.adopted_mutexes),
           static_cast<unsigned long long>(s.init_mutexes),
           static_cast<unsigned long long>(s.destroyed_mutexes),
           static_cast<unsigned long long>(s.adopted_rwlocks),
           static_cast<unsigned long long>(s.init_rwlocks),
           static_cast<unsigned long long>(s.destroyed_rwlocks),
+          static_cast<unsigned long long>(s.rwlocks_reader_pref),
+          static_cast<unsigned long long>(s.rwlocks_writer_pref),
+          static_cast<unsigned long long>(s.rwlocks_passthrough),
           static_cast<unsigned long long>(s.live_nodes));
       std::fclose(f);
     }

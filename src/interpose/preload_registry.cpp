@@ -1,5 +1,7 @@
 #include "interpose/preload_registry.hpp"
 
+#include <pthread.h>
+
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -20,21 +22,30 @@ template <typename Handle>
 struct Node {
   const void* key;
   Handle handle{nullptr};
-  std::atomic<int> state{0};  // 0 = tombstone, 1 = live
+  std::atomic<int> state{0};  // kTombstone, kLive or kPassThrough
   Node* next = nullptr;       // written before head publication
 };
 
 constexpr int kTombstone = 0;
 constexpr int kLive = 1;
+constexpr int kPassThrough = 2;  // glibc keeps the lock; no handle
 
+// What a Traits::classify returns for a lock glibc must keep.
+constexpr int kGlibcKeeps = -1;
+
+// A Traits decides what adoption builds: classify(addr) reads the app's
+// lock and returns a kind in [0, kKinds), or kGlibcKeeps; make(h, kind)
+// constructs the handle for that kind, nonzero on failure.
 struct MutexTraits {
   using Handle = rl_mutex_t;
   static constexpr const char* kKind = "mutex";
-  static int make(Handle* h) {
-    return rl_mutex_init(
-        h, nullptr, default_resilience() == kResilient ? 1 : 0);
-  }
-  static int make_fallback(Handle* h) {
+  static constexpr int kKinds = 1;
+  static int classify(const void*) { return 0; }
+  static int make(Handle* h, int) {
+    if (rl_mutex_init(h, nullptr,
+                      default_resilience() == kResilient ? 1 : 0) == 0) {
+      return 0;
+    }
     // A bogus RESILOCK_ALGO must not wedge an interposed program whose
     // lock operations have no error path; fall back to the default.
     return rl_mutex_init(h, "MCS", 1);
@@ -42,14 +53,34 @@ struct MutexTraits {
   static void destroy(Handle* h) { rl_mutex_destroy(h); }
 };
 
+// glibc keeps an rwlock's kind and pshared flag in the lock's own
+// bytes, written by pthread_rwlock_init or by a static initializer
+// (PTHREAD_RWLOCK_WRITER_NONRECURSIVE_INITIALIZER_NP stores kind 2), and
+// never changes them afterwards. Adoption builds the C-RW variant that
+// keeps the kind's promise: PREFER_READER_NP (0, the default) and
+// PREFER_WRITER_NP (1, which glibc runs as reader preference) get
+// C-RW-RP, PREFER_WRITER_NONRECURSIVE_NP (2) gets C-RW-WP. A pshared
+// lock stays glibc's: another process may operate on the same bytes.
 struct RwlockTraits {
   using Handle = rl_rwlock_t;
   static constexpr const char* kKind = "rwlock";
-  static int make(Handle* h) {
-    return rl_rwlock_init(
-        h, nullptr, default_resilience() == kResilient ? 1 : 0);
+  // The C-RW variants, named by their rl_rwlock_init preference. The
+  // registry counts adoptions by the variant built, so the counts say
+  // what runs (classify never picks C-RW-NP).
+  enum Variant { kNeutral, kReaderPref, kWriterPref, kKinds };
+  static constexpr const char* kPreference[kKinds] = {"np", "rp", "wp"};
+
+  static int classify(const void* addr) {
+    const auto& d = static_cast<const pthread_rwlock_t*>(addr)->__data;
+    if (d.__shared != 0) return kGlibcKeeps;
+    return d.__flags == PTHREAD_RWLOCK_PREFER_WRITER_NONRECURSIVE_NP
+               ? kWriterPref
+               : kReaderPref;
   }
-  static int make_fallback(Handle* h) { return rl_rwlock_init(h, "np", 1); }
+  static int make(Handle* h, int variant) {
+    return rl_rwlock_init(h, kPreference[variant],
+                          default_resilience() == kResilient ? 1 : 0);
+  }
   static void destroy(Handle* h) { rl_rwlock_destroy(h); }
 };
 
@@ -59,68 +90,60 @@ class Table {
   using N = Node<Handle>;
 
  public:
-  Handle* adopt_or_get(const void* addr, std::atomic<std::uint64_t>& adopted,
-                       std::atomic<std::uint64_t>& nodes) {
+  // The handle for `addr`, adopting it when the address is unknown or
+  // tombstoned; nullptr for a lock glibc keeps.
+  Handle* adopt_or_get(const void* addr) {
     const std::size_t b = bucket_of(addr);
-    if (N* n = find_in(b, addr);
-        n != nullptr && n->state.load(std::memory_order_acquire) == kLive) {
-      return &n->handle;
+    if (N* n = find_in(b, addr); n != nullptr) {
+      const int s = n->state.load(std::memory_order_acquire);
+      if (s != kTombstone) return handle_of(n, s);
     }
     BucketLock lk(buckets_[b]);
-    N* n = find_in(b, addr);
-    if (n == nullptr) {
-      n = new_node(b, addr);
-      nodes.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (n->state.load(std::memory_order_relaxed) != kLive) {
+    N* n = find_or_new(b, addr);
+    if (n->state.load(std::memory_order_relaxed) == kTombstone) {
       make_handle(n);
-      adopted.fetch_add(1, std::memory_order_relaxed);
+      adopted_.fetch_add(1, std::memory_order_relaxed);
     }
-    return &n->handle;
+    return handle_of(n, n->state.load(std::memory_order_relaxed));
   }
 
   Handle* find(const void* addr) {
     N* n = find_in(bucket_of(addr), addr);
-    if (n == nullptr ||
-        n->state.load(std::memory_order_acquire) != kLive) {
-      return nullptr;
-    }
-    return &n->handle;
+    return n == nullptr
+               ? nullptr
+               : handle_of(n, n->state.load(std::memory_order_acquire));
   }
 
-  Handle* init(const void* addr, std::atomic<std::uint64_t>& inits,
-               std::atomic<std::uint64_t>& nodes) {
+  Handle* init(const void* addr) {
     const std::size_t b = bucket_of(addr);
     BucketLock lk(buckets_[b]);
-    N* n = find_in(b, addr);
-    if (n == nullptr) {
-      n = new_node(b, addr);
-      nodes.fetch_add(1, std::memory_order_relaxed);
-    } else if (n->state.load(std::memory_order_relaxed) == kLive) {
-      // Re-init of a live address: honor it (the old handle's state is
-      // the caller's UB to own, the fresh handle is ours to provide).
-      n->state.store(kTombstone, std::memory_order_release);
-      Traits::destroy(&n->handle);
-    }
+    N* n = find_or_new(b, addr);
+    // Re-init of a live address: honor it (the old handle's state is
+    // the caller's UB to own, the fresh handle is ours to provide).
+    retire(n);
     make_handle(n);
-    inits.fetch_add(1, std::memory_order_relaxed);
-    return &n->handle;
+    inits_.fetch_add(1, std::memory_order_relaxed);
+    return handle_of(n, n->state.load(std::memory_order_relaxed));
   }
 
-  int destroy(const void* addr, std::atomic<std::uint64_t>& destroys) {
+  // An address never adopted (e.g. destroy of an unused static
+  // initializer) or passed through has no handle of ours to tear down.
+  int destroy(const void* addr) {
     const std::size_t b = bucket_of(addr);
     BucketLock lk(buckets_[b]);
-    N* n = find_in(b, addr);
-    if (n == nullptr ||
-        n->state.load(std::memory_order_relaxed) != kLive) {
-      // Never adopted (e.g. destroy of an unused static initializer):
-      // nothing of ours to tear down.
-      return 0;
+    if (N* n = find_in(b, addr); n != nullptr && retire(n)) {
+      destroyed_.fetch_add(1, std::memory_order_relaxed);
     }
-    n->state.store(kTombstone, std::memory_order_release);
-    Traits::destroy(&n->handle);
-    destroys.fetch_add(1, std::memory_order_relaxed);
     return 0;
+  }
+
+  std::uint64_t adopted() const noexcept { return load(adopted_); }
+  std::uint64_t inits() const noexcept { return load(inits_); }
+  std::uint64_t destroyed() const noexcept { return load(destroyed_); }
+  std::uint64_t nodes() const noexcept { return load(nodes_); }
+  std::uint64_t built(int kind) const noexcept { return load(built_[kind]); }
+  std::uint64_t passed_through() const noexcept {
+    return load(passed_through_);
   }
 
  private:
@@ -160,10 +183,19 @@ class Table {
     return nullptr;
   }
 
-  // Caller holds the bucket lock. The node is published tombstoned;
+  static std::uint64_t load(const std::atomic<std::uint64_t>& c) noexcept {
+    return c.load(std::memory_order_relaxed);
+  }
+
+  static Handle* handle_of(N* n, int state) noexcept {
+    return state == kLive ? &n->handle : nullptr;
+  }
+
+  // Caller holds the bucket lock. A new node is published tombstoned;
   // only the kLive store makes the handle reachable to lock-free
   // readers.
-  N* new_node(std::size_t b, const void* addr) {
+  N* find_or_new(std::size_t b, const void* addr) {
+    if (N* n = find_in(b, addr); n != nullptr) return n;
     N* n = new (std::nothrow) N;
     if (n == nullptr) {
       std::fprintf(stderr,
@@ -173,27 +205,53 @@ class Table {
     n->key = addr;
     n->next = buckets_[b].head.load(std::memory_order_relaxed);
     buckets_[b].head.store(n, std::memory_order_release);
+    nodes_.fetch_add(1, std::memory_order_relaxed);
     return n;
+  }
+
+  // Caller holds the bucket lock. Tombstones the node; true when it
+  // held a handle, which is then destroyed.
+  bool retire(N* n) {
+    const int s = n->state.load(std::memory_order_relaxed);
+    if (s == kTombstone) return false;
+    n->state.store(kTombstone, std::memory_order_release);
+    if (s != kLive) return false;
+    Traits::destroy(&n->handle);
+    return true;
   }
 
   // Caller holds the bucket lock; node state is kTombstone.
   void make_handle(N* n) {
-    // Guarded: handle construction runs resilock machinery (registry
-    // lookup, shield wrap, lockdep class registration, telemetry
-    // autostart) whose own pthread calls must reach glibc, not the
-    // interposition layer that called us.
-    PreloadReentryScope guard;
-    if (Traits::make(&n->handle) != 0 &&
-        Traits::make_fallback(&n->handle) != 0) {
-      std::fprintf(stderr,
-                   "resilock_preload: cannot construct %s for %p\n",
-                   Traits::kKind, n->key);
-      std::abort();
+    const int kind = Traits::classify(n->key);
+    if (kind == kGlibcKeeps) {
+      passed_through_.fetch_add(1, std::memory_order_relaxed);
+      n->state.store(kPassThrough, std::memory_order_release);
+      return;
     }
+    {
+      // Guarded: handle construction runs resilock machinery (registry
+      // lookup, shield wrap, lockdep class registration, telemetry
+      // autostart) whose own pthread calls must reach glibc, not the
+      // interposition layer that called us.
+      PreloadReentryScope guard;
+      if (Traits::make(&n->handle, kind) != 0) {
+        std::fprintf(stderr,
+                     "resilock_preload: cannot construct %s for %p\n",
+                     Traits::kKind, n->key);
+        std::abort();
+      }
+    }
+    built_[kind].fetch_add(1, std::memory_order_relaxed);
     n->state.store(kLive, std::memory_order_release);
   }
 
   Bucket buckets_[kBuckets];
+  std::atomic<std::uint64_t> adopted_{0};  // lazy adoptions
+  std::atomic<std::uint64_t> inits_{0};    // eager init routes
+  std::atomic<std::uint64_t> destroyed_{0};
+  std::atomic<std::uint64_t> nodes_{0};
+  std::atomic<std::uint64_t> built_[Traits::kKinds] = {};
+  std::atomic<std::uint64_t> passed_through_{0};
 };
 
 }  // namespace
@@ -201,13 +259,6 @@ class Table {
 struct PreloadRegistry::Impl {
   Table<MutexTraits> mutexes;
   Table<RwlockTraits> rwlocks;
-  std::atomic<std::uint64_t> adopted_mutexes{0};
-  std::atomic<std::uint64_t> init_mutexes{0};
-  std::atomic<std::uint64_t> destroyed_mutexes{0};
-  std::atomic<std::uint64_t> adopted_rwlocks{0};
-  std::atomic<std::uint64_t> init_rwlocks{0};
-  std::atomic<std::uint64_t> destroyed_rwlocks{0};
-  std::atomic<std::uint64_t> live_nodes{0};
 };
 
 PreloadRegistry::PreloadRegistry() : impl_(new Impl) {}
@@ -218,8 +269,7 @@ PreloadRegistry& PreloadRegistry::instance() {
 }
 
 rl_mutex_t* PreloadRegistry::mutex_for(const void* addr) {
-  return impl_->mutexes.adopt_or_get(addr, impl_->adopted_mutexes,
-                                     impl_->live_nodes);
+  return impl_->mutexes.adopt_or_get(addr);
 }
 
 rl_mutex_t* PreloadRegistry::find_mutex(const void* addr) {
@@ -227,45 +277,39 @@ rl_mutex_t* PreloadRegistry::find_mutex(const void* addr) {
 }
 
 rl_mutex_t* PreloadRegistry::init_mutex(const void* addr) {
-  return impl_->mutexes.init(addr, impl_->init_mutexes,
-                             impl_->live_nodes);
+  return impl_->mutexes.init(addr);
 }
 
 int PreloadRegistry::destroy_mutex(const void* addr) {
-  return impl_->mutexes.destroy(addr, impl_->destroyed_mutexes);
+  return impl_->mutexes.destroy(addr);
 }
 
 rl_rwlock_t* PreloadRegistry::rwlock_for(const void* addr) {
-  return impl_->rwlocks.adopt_or_get(addr, impl_->adopted_rwlocks,
-                                     impl_->live_nodes);
-}
-
-rl_rwlock_t* PreloadRegistry::find_rwlock(const void* addr) {
-  return impl_->rwlocks.find(addr);
+  return impl_->rwlocks.adopt_or_get(addr);
 }
 
 rl_rwlock_t* PreloadRegistry::init_rwlock(const void* addr) {
-  return impl_->rwlocks.init(addr, impl_->init_rwlocks,
-                             impl_->live_nodes);
+  return impl_->rwlocks.init(addr);
 }
 
 int PreloadRegistry::destroy_rwlock(const void* addr) {
-  return impl_->rwlocks.destroy(addr, impl_->destroyed_rwlocks);
+  return impl_->rwlocks.destroy(addr);
 }
 
 PreloadRegistryStats PreloadRegistry::stats() const noexcept {
+  const Table<MutexTraits>& m = impl_->mutexes;
+  const Table<RwlockTraits>& rw = impl_->rwlocks;
   PreloadRegistryStats s;
-  s.adopted_mutexes =
-      impl_->adopted_mutexes.load(std::memory_order_relaxed);
-  s.init_mutexes = impl_->init_mutexes.load(std::memory_order_relaxed);
-  s.destroyed_mutexes =
-      impl_->destroyed_mutexes.load(std::memory_order_relaxed);
-  s.adopted_rwlocks =
-      impl_->adopted_rwlocks.load(std::memory_order_relaxed);
-  s.init_rwlocks = impl_->init_rwlocks.load(std::memory_order_relaxed);
-  s.destroyed_rwlocks =
-      impl_->destroyed_rwlocks.load(std::memory_order_relaxed);
-  s.live_nodes = impl_->live_nodes.load(std::memory_order_relaxed);
+  s.adopted_mutexes = m.adopted();
+  s.init_mutexes = m.inits();
+  s.destroyed_mutexes = m.destroyed();
+  s.adopted_rwlocks = rw.adopted();
+  s.init_rwlocks = rw.inits();
+  s.destroyed_rwlocks = rw.destroyed();
+  s.rwlocks_reader_pref = rw.built(RwlockTraits::kReaderPref);
+  s.rwlocks_writer_pref = rw.built(RwlockTraits::kWriterPref);
+  s.rwlocks_passthrough = rw.passed_through();
+  s.live_nodes = m.nodes() + rw.nodes();
   return s;
 }
 

@@ -19,6 +19,13 @@
 // The leak is bounded by the number of DISTINCT lock addresses the
 // program ever uses — the same bound LiTL accepts, and what makes
 // lock-free readers safe without an epoch scheme.
+//
+// An rwlock is adopted as the C-RW variant its glibc kind asks for
+// (C-RW-RP for the reader-preference kinds, C-RW-WP for
+// PREFER_WRITER_NONRECURSIVE_NP), read from the lock's own bytes. A
+// PTHREAD_PROCESS_SHARED rwlock gets a pass-through node with no
+// handle: another process may operate on the same bytes, so the caller
+// forwards every operation on it to glibc.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +38,14 @@ struct PreloadRegistryStats {
   std::uint64_t adopted_mutexes = 0;   // lazy adoptions (static init path)
   std::uint64_t init_mutexes = 0;      // eager pthread_mutex_init routes
   std::uint64_t destroyed_mutexes = 0;
-  std::uint64_t adopted_rwlocks = 0;
+  std::uint64_t adopted_rwlocks = 0;   // pass-through ones included
   std::uint64_t init_rwlocks = 0;
   std::uint64_t destroyed_rwlocks = 0;
+  // Every rwlock adoption or init by outcome; the three add up to
+  // adopted_rwlocks + init_rwlocks.
+  std::uint64_t rwlocks_reader_pref = 0;  // built as C-RW-RP
+  std::uint64_t rwlocks_writer_pref = 0;  // built as C-RW-WP
+  std::uint64_t rwlocks_passthrough = 0;  // pshared: left to glibc
   std::uint64_t live_nodes = 0;        // distinct addresses ever seen
 };
 
@@ -64,9 +76,11 @@ class PreloadRegistry {
   // (destroy of a never-used static initializer is a no-op: 0).
   int destroy_mutex(const void* addr);
 
-  // Same trio for pthread_rwlock_t addresses.
+  // The same for pthread_rwlock_t addresses, except that rwlock_for
+  // and init_rwlock return nullptr for a pass-through (pshared) lock.
+  // `addr` must point at a glibc-initialized pthread_rwlock_t: its kind
+  // and pshared flag are read at adoption.
   rl_rwlock_t* rwlock_for(const void* addr);
-  rl_rwlock_t* find_rwlock(const void* addr);
   rl_rwlock_t* init_rwlock(const void* addr);
   int destroy_rwlock(const void* addr);
 

@@ -234,12 +234,8 @@ int rl_rwlock_init(rl_rwlock_t* rw, const char* preference,
   if (rw == nullptr) return EINVAL;
   telemetry::autostart_from_env();  // see rl_mutex_init
   observe::install_signal_trigger_from_env();
-  const char* fallback = platform::env_raw("RESILOCK_RW_PREF");
   const std::string_view pref =
-      preference != nullptr
-          ? std::string_view(preference)
-          : (fallback != nullptr ? std::string_view(fallback)
-                                 : std::string_view("np"));
+      preference != nullptr ? std::string_view(preference) : "rp";
   const bool shielded = shield_interposition_enabled();
   RwAny* impl = nullptr;
   if (pref == "np" || pref == "neutral") {

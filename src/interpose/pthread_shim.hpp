@@ -95,9 +95,9 @@ struct rl_rwlock_t {
   void* impl;  // owned; opaque to C callers
 };
 
-// `preference` selects the C-RW variant: "np"/"neutral" (default, also
-// the RESILOCK_RW_PREF fallback when NULL), "rp"/"reader",
-// "wp"/"writer". `resilient` selects the base flavor (W-side ticket
+// `preference` selects the C-RW variant: "rp"/"reader" (also NULL:
+// glibc's default rwlock kind is reader preference), "wp"/"writer",
+// "np"/"neutral". `resilient` selects the base flavor (W-side ticket
 // remedy; the R side is protected by the shield, which is the repo's
 // answer to §4's open problem). Returns 0, or EINVAL for an unknown
 // preference.

@@ -81,12 +81,14 @@ const std::string& child_bin(const std::string& name) {
   static Built clock_child = build("preload_clock_child");
   static Built cond_child = build("preload_cond_child");
   static Built manylocks = build("preload_manylocks");
+  static Built rwlock_kinds = build("preload_rwlock_kinds");
   static const Built none{"", false};
   const Built& b = name == "preload_child"         ? child
                    : name == "preload_static_init" ? static_init
                    : name == "preload_clock_child" ? clock_child
                    : name == "preload_cond_child"  ? cond_child
                    : name == "preload_manylocks"   ? manylocks
+                   : name == "preload_rwlock_kinds" ? rwlock_kinds
                                                    : none;
   EXPECT_TRUE(b.ok) << "failed to compile child " << name;
   return b.path;
@@ -331,4 +333,51 @@ TEST(PreloadE2E, HundredThousandMutexesStayUnderSixtyMegabytes) {
 
 TEST(PreloadE2E, TwentyThousandRwlocksStayUnderSixtyMegabytes) {
   expect_footprint("rwlock");
+}
+
+// The kind an app stores in a pthread_rwlock_t picks the C-RW variant,
+// and the stats file counts each adoption by what it built: 2 NULL-attr
+// inits, 1 PTHREAD_RWLOCK_INITIALIZER static and 1 PREFER_WRITER_NP
+// (which glibc runs as reader preference) are reader preference; 2
+// PREFER_WRITER_NONRECURSIVE_NP inits and 1
+// PTHREAD_RWLOCK_WRITER_NONRECURSIVE_INITIALIZER_NP static, adopted on
+// its first rdlock, are writer preference; 1 pshared lock passes
+// through.
+TEST(PreloadE2E, RwlockKindPicksTheVariantAndIsCountedExactly) {
+  const std::string stats =
+      ::testing::TempDir() + "preload_stats_rwkinds.json";
+  std::remove(stats.c_str());
+  RunResult r = run("env " + preload_env() +
+                    " RESILOCK_PRELOAD_STATS_FILE=" + stats + " " +
+                    child_bin("preload_rwlock_kinds") + " kinds");
+  EXPECT_EQ(r.exit_code, 0) << r.out;
+  EXPECT_NE(r.out.find("kinds-exercised=ok\n"), std::string::npos)
+      << r.out;
+  const std::string s = slurp(stats);
+  EXPECT_NE(s.find("\"rwlocks_reader_pref\":4,"), std::string::npos) << s;
+  EXPECT_NE(s.find("\"rwlocks_writer_pref\":3,"), std::string::npos) << s;
+  EXPECT_NE(s.find("\"rwlocks_passthrough\":1,"), std::string::npos) << s;
+  std::remove(stats.c_str());
+}
+
+// A PTHREAD_PROCESS_SHARED rwlock stays glibc's: a write hold under the
+// preload is glibc's own writer state, the holder's own clockrdlock
+// gets glibc's EDEADLK (35), another thread and another process are
+// refused a read (EBUSY = 16), and the lock reads free again after the
+// unlock.
+TEST(PreloadE2E, ProcessSharedRwlockPassesThroughToGlibc) {
+  RunResult r = run("env " + preload_env() + " " +
+                    child_bin("preload_rwlock_kinds") + " pshared");
+  EXPECT_EQ(r.exit_code, 0) << r.out;
+  EXPECT_NE(r.out.find("pshared-cur-writer=ok\n"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("pshared-thread-tryrdlock=16\n"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("pshared-own-clockrdlock=35\n"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("pshared-fork-tryrdlock=16\n"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("pshared-released-tryrdlock=0\n"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("pshared-destroy=0\n"), std::string::npos) << r.out;
 }

@@ -4,6 +4,8 @@
 // this is the TSan job's view of the static-initializer race).
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 #include <atomic>
 #include <cstdint>
 #include <set>
@@ -30,8 +32,10 @@ ri::PreloadRegistryStats snap() {
   return ri::PreloadRegistry::instance().stats();
 }
 
-// Fake "pthread_mutex_t" storage: the registry only keys on the
-// address, it never dereferences the app's lock memory.
+// Fake "pthread_mutex_t" storage: the registry only keys on a mutex's
+// address, it never dereferences the app's mutex memory. (Rwlock
+// adoption reads glibc's kind from the lock, so rwlock tests use real
+// pthread_rwlock_t storage.)
 struct FakeLock {
   alignas(64) unsigned char bytes[64];
 };
@@ -125,7 +129,7 @@ TEST(PreloadRegistry, DestroyOfUnknownAddressIsBenign) {
 
 TEST(PreloadRegistry, RwlockAdoptionAndUse) {
   constexpr int kThreads = 4;
-  FakeLock a;
+  pthread_rwlock_t a = PTHREAD_RWLOCK_INITIALIZER;
   const ri::PreloadRegistryStats before = snap();
   std::atomic<int> gate{0};
   rl_rwlock_t* handles[kThreads] = {};
@@ -150,4 +154,83 @@ TEST(PreloadRegistry, RwlockAdoptionAndUse) {
   EXPECT_EQ(rl_rwlock_wrlock(handles[0]), 0);
   EXPECT_EQ(rl_rwlock_unlock(handles[0]), 0);
   ri::PreloadRegistry::instance().destroy_rwlock(&a);
+}
+
+namespace {
+pthread_rwlock_t make_rwlock(int kind, int pshared) {
+  pthread_rwlockattr_t attr;
+  pthread_rwlockattr_init(&attr);
+  pthread_rwlockattr_setkind_np(&attr, kind);
+  pthread_rwlockattr_setpshared(&attr, pshared);
+  pthread_rwlock_t rw;
+  pthread_rwlock_init(&rw, &attr);
+  pthread_rwlockattr_destroy(&attr);
+  return rw;
+}
+}  // namespace
+
+// The kind glibc stored in the lock picks the variant; both init and
+// lazy adoption read it, and the by-outcome counts add up to the
+// adoptions and inits.
+TEST(PreloadRegistry, RwlockKindPicksVariant) {
+  auto& reg = ri::PreloadRegistry::instance();
+  pthread_rwlock_t reader = make_rwlock(PTHREAD_RWLOCK_PREFER_READER_NP,
+                                        PTHREAD_PROCESS_PRIVATE);
+  pthread_rwlock_t writer_np = make_rwlock(PTHREAD_RWLOCK_PREFER_WRITER_NP,
+                                           PTHREAD_PROCESS_PRIVATE);
+  pthread_rwlock_t nonrecursive =
+      make_rwlock(PTHREAD_RWLOCK_PREFER_WRITER_NONRECURSIVE_NP,
+                  PTHREAD_PROCESS_PRIVATE);
+  pthread_rwlock_t static_writer =
+      PTHREAD_RWLOCK_WRITER_NONRECURSIVE_INITIALIZER_NP;
+  const ri::PreloadRegistryStats before = snap();
+  rl_rwlock_t* handles[] = {reg.init_rwlock(&reader),
+                            reg.init_rwlock(&writer_np),
+                            reg.init_rwlock(&nonrecursive),
+                            reg.rwlock_for(&static_writer)};
+  const ri::PreloadRegistryStats after = snap();
+  EXPECT_EQ(after.rwlocks_reader_pref - before.rwlocks_reader_pref, 2u);
+  EXPECT_EQ(after.rwlocks_writer_pref - before.rwlocks_writer_pref, 2u);
+  EXPECT_EQ(after.rwlocks_passthrough, before.rwlocks_passthrough);
+  EXPECT_EQ(after.init_rwlocks - before.init_rwlocks, 3u);
+  EXPECT_EQ(after.adopted_rwlocks - before.adopted_rwlocks, 1u);
+  for (rl_rwlock_t* h : handles) {
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(rl_rwlock_rdlock(h), 0);
+    EXPECT_EQ(rl_rwlock_unlock(h), 0);
+    EXPECT_EQ(rl_rwlock_wrlock(h), 0);
+    EXPECT_EQ(rl_rwlock_unlock(h), 0);
+  }
+  for (const pthread_rwlock_t* rw :
+       {&reader, &writer_np, &nonrecursive, &static_writer}) {
+    reg.destroy_rwlock(rw);
+  }
+}
+
+// A pshared rwlock gets a pass-through node: no handle on init or on
+// any later lookup, counted once. Destroy retires the node, so a
+// private lock initialized at the same address is adopted again.
+TEST(PreloadRegistry, ProcessSharedRwlockPassesThrough) {
+  auto& reg = ri::PreloadRegistry::instance();
+  pthread_rwlock_t rw = make_rwlock(PTHREAD_RWLOCK_PREFER_READER_NP,
+                                    PTHREAD_PROCESS_SHARED);
+  const ri::PreloadRegistryStats before = snap();
+  EXPECT_EQ(reg.init_rwlock(&rw), nullptr);
+  EXPECT_EQ(reg.rwlock_for(&rw), nullptr);
+  EXPECT_EQ(reg.rwlock_for(&rw), nullptr);
+  const ri::PreloadRegistryStats mid = snap();
+  EXPECT_EQ(mid.rwlocks_passthrough - before.rwlocks_passthrough, 1u);
+  EXPECT_EQ(mid.rwlocks_reader_pref, before.rwlocks_reader_pref);
+  EXPECT_EQ(mid.live_nodes - before.live_nodes, 1u);
+  EXPECT_EQ(reg.destroy_rwlock(&rw), 0);
+  EXPECT_EQ(snap().destroyed_rwlocks, mid.destroyed_rwlocks);
+
+  rw = make_rwlock(PTHREAD_RWLOCK_PREFER_READER_NP, PTHREAD_PROCESS_PRIVATE);
+  rl_rwlock_t* h = reg.init_rwlock(&rw);
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(reg.rwlock_for(&rw), h);
+  const ri::PreloadRegistryStats after = snap();
+  EXPECT_EQ(after.rwlocks_reader_pref - mid.rwlocks_reader_pref, 1u);
+  EXPECT_EQ(after.live_nodes, mid.live_nodes);
+  reg.destroy_rwlock(&rw);
 }
