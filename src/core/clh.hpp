@@ -28,9 +28,9 @@
 // Parking (src/park/): `succ_must_wait` is a 32-bit wait word (0 =
 // released, 1 = successor must wait, 2 = successor parked). The waiter
 // runs park::wait_word on its PREDECESSOR's word; the releaser
-// publishes through park::wake_word (exchange + conditional
-// futex_wake). misuse_wake() broadcast-wakes parked waiters after the
-// shield absorbs an unlock-family misuse.
+// publishes through ParkBay::hand_off (see BasicMcsLock).
+// misuse_wake() broadcast-wakes parked waiters after the shield absorbs
+// an unlock-family misuse.
 #pragma once
 
 #include <atomic>
@@ -93,7 +93,7 @@ class BasicClhLock {
       // (the fix of Figure 7, ordered to stay data-race-free).
       I->prev = nullptr;
     }
-    park::wake_word(I->succ_must_wait);
+    bay_.hand_off(I->succ_must_wait);
     ctx.node_ = pred;  // take ownership of the predecessor's node
     return true;
   }

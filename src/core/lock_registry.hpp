@@ -1,6 +1,6 @@
 // Runtime registry of every lock algorithm, by name.
 //
-// The evaluation harness, the interposition layer, and the benchmark
+// The evaluation harness, TransparentMutex, and the benchmark
 // binaries all select algorithms by string — mirroring how LiTL selects
 // the interposed lock via an environment variable (paper §6).
 #pragma once

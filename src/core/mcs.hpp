@@ -26,7 +26,8 @@
 // protocol (0 = granted/free, 1 = waiting, 2 = parked in futex_wait).
 // The contended wait runs through park::wait_word (bounded spin, then
 // kernel sleep when RESILOCK_PARK is on) and the hand-off through
-// park::wake_word (exchange + conditional futex_wake). misuse_wake()
+// ParkBay::hand_off (exchange + conditional futex_wake; a grant to a
+// parked successor also wakes the waiters behind it). misuse_wake()
 // is the shield's rescue hook: broadcast-wake every parked waiter
 // after an absorbed unlock-family misuse would otherwise leave them
 // wedged.
@@ -115,7 +116,7 @@ class BasicMcsLock {
       I.next.store(nullptr, std::memory_order_relaxed);
       I.locked.store(park::kWordGranted, std::memory_order_relaxed);
     }
-    park::wake_word(succ->locked);
+    bay_.hand_off(succ->locked);
     return true;
   }
 

@@ -8,9 +8,12 @@
 // through the rl_* shim (interpose/pthread_shim.hpp), so the whole
 // resilock stack — shield interception, lockdep, response rules,
 // parking, telemetry, lockstat SIGUSR2 dumps — applies to a binary
-// compiled with no resilock headers. Behavior is selected by the same
-// environment knobs the shim documents (RESILOCK_ALGO, RESILOCK_SHIELD,
-// RESILOCK_TRACE_FILE, RESILOCK_LOCKSTAT, RESILOCK_PARK, ...).
+// compiled with no resilock headers. The lock is not selectable: every
+// adopted mutex is the shim's shield<MCS> (the resilient MCS lock
+// behind the ownership shield), every adopted rwlock a shielded
+// resilient C-RW lock. The environment knobs select what the layers
+// around it do (RESILOCK_POLICY, RESILOCK_TRACE_FILE,
+// RESILOCK_LOCKSTAT, RESILOCK_PARK, RESILOCK_DISABLE_CHECK, ...).
 //
 // Three mechanisms make this safe (each documented at its site):
 //   1. Address adoption — PreloadRegistry maps pthread_mutex_t*
@@ -43,11 +46,14 @@
 // initializer) and builds C-RW-RP for glibc's reader-preference kinds,
 // C-RW-WP for PREFER_WRITER_NONRECURSIVE_NP. A PTHREAD_PROCESS_SHARED
 // rwlock passes through to glibc unadopted, so processes sharing it
-// still exclude each other. Deliberate non-goals, as in LiTL: mutex
-// attributes are ignored (a recursive-attr relock surfaces as the
-// shield's reentrant-relock event; a pshared mutex is adopted per
-// process), PI/robust protocols are not emulated, and fork() without
-// exec() is unsupported (resilock_drive exec()s). The cond clock
+// still exclude each other. Of a mutex's type, only the recursive kind
+// is read (from the lock's own bytes, at each trylock): its owner's
+// trylock is absorbed as a relock and returns 0, where every other kind
+// gets glibc's EBUSY. Otherwise mutex attributes are ignored, as in
+// LiTL (a recursive-attr relock surfaces as the shield's
+// reentrant-relock event; a pshared mutex is adopted per process),
+// PI/robust protocols are not emulated, and fork() without exec() is
+// unsupported (resilock_drive exec()s). The cond clock
 // attribute IS honoured; a CLOCK_REALTIME deadline is re-based onto
 // CLOCK_MONOTONIC once, at the call, so a wall-clock step during the
 // wait does not move it. Cond waits stay cancellation points. A
@@ -248,6 +254,15 @@ int real_rwlock_clockwrlock(pthread_rwlock_t* rw, clockid_t clockid,
   return rc != 0 ? rc : real().rwlock_timedwrlock(rw, &wall);
 }
 
+// glibc keeps a mutex's type in the lock's own bytes, written by
+// pthread_mutex_init or a static initializer, and never changes it. The
+// low two bits are the kind (glibc's internal PTHREAD_MUTEX_KIND_MASK_NP,
+// nptl/pthreadP.h); the bits above are protocol flags.
+bool recursive_kind(const pthread_mutex_t* m) {
+  constexpr int kKindMask = 3;
+  return (m->__data.__kind & kKindMask) == PTHREAD_MUTEX_RECURSIVE_NP;
+}
+
 // ---------------------------------------------------------------------
 // Native condvars (mechanism 3): the app's pthread_cond_t bytes ARE the
 // park::CondWord, on every thread.
@@ -344,7 +359,9 @@ int pthread_mutex_trylock(pthread_mutex_t* m) {
   if (ri::preload_reentered()) return real().mutex_trylock(m);
   ri::PreloadReentryScope guard;
   resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
-  return ri::rl_mutex_trylock(reg().mutex_for(m));
+  ri::rl_mutex_t* h = reg().mutex_for(m);
+  return recursive_kind(m) ? ri::rl_mutex_trylock_recursive(h)
+                           : ri::rl_mutex_trylock(h);
 }
 
 int pthread_mutex_timedlock(pthread_mutex_t* m, const timespec* abstime) {
@@ -559,10 +576,6 @@ __attribute__((constructor)) void preload_ctor() {
   // lock operation should ever enter the dynamic linker.
   ri::PreloadReentryScope guard;
   (void)real();
-  if (resilock::platform::env_flag("RESILOCK_PRELOAD_VERBOSE", false)) {
-    std::fprintf(stderr, "resilock_preload: active (shield=%d)\n",
-                 ri::shield_interposition_enabled() ? 1 : 0);
-  }
 }
 
 __attribute__((destructor)) void preload_dtor() {

@@ -7,7 +7,6 @@
 #include <cstdlib>
 
 #include "interpose/reentry.hpp"
-#include "interpose/transparent_mutex.hpp"
 #include "platform/spin.hpp"
 
 namespace resilock::interpose {
@@ -41,15 +40,7 @@ struct MutexTraits {
   static constexpr const char* kKind = "mutex";
   static constexpr int kKinds = 1;
   static int classify(const void*) { return 0; }
-  static int make(Handle* h, int) {
-    if (rl_mutex_init(h, nullptr,
-                      default_resilience() == kResilient ? 1 : 0) == 0) {
-      return 0;
-    }
-    // A bogus RESILOCK_ALGO must not wedge an interposed program whose
-    // lock operations have no error path; fall back to the default.
-    return rl_mutex_init(h, "MCS", 1);
-  }
+  static int make(Handle* h, int) { return rl_mutex_init(h, nullptr, 1); }
   static void destroy(Handle* h) { rl_mutex_destroy(h); }
 };
 
@@ -78,8 +69,7 @@ struct RwlockTraits {
                : kReaderPref;
   }
   static int make(Handle* h, int variant) {
-    return rl_rwlock_init(h, kPreference[variant],
-                          default_resilience() == kResilient ? 1 : 0);
+    return rl_rwlock_init(h, kPreference[variant]);
   }
   static void destroy(Handle* h) { rl_rwlock_destroy(h); }
 };
@@ -229,10 +219,9 @@ class Table {
       return;
     }
     {
-      // Guarded: handle construction runs resilock machinery (registry
-      // lookup, shield wrap, lockdep class registration, telemetry
-      // autostart) whose own pthread calls must reach glibc, not the
-      // interposition layer that called us.
+      // Guarded: handle construction runs resilock machinery (shield
+      // and lockdep setup, telemetry autostart) whose own pthread calls
+      // must reach glibc, not the interposition layer that called us.
       PreloadReentryScope guard;
       if (Traits::make(&n->handle, kind) != 0) {
         std::fprintf(stderr,

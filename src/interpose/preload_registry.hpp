@@ -4,7 +4,8 @@
 // pointers it initialized itself — often statically, via
 // PTHREAD_MUTEX_INITIALIZER, with no init call we could intercept. The
 // registry maps those addresses to resilock handles (the rl_* shim's
-// rl_mutex_t / rl_rwlock_t), adopting unknown addresses lazily on first
+// rl_mutex_t / rl_rwlock_t: a mutex is always shield<MCS>, see
+// pthread_shim.hpp), adopting unknown addresses lazily on first
 // use with exactly-once semantics: however many threads race the first
 // lock of a static-initializer mutex, exactly one handle is created and
 // every racer gets it.
@@ -55,8 +56,8 @@ class PreloadRegistry {
   // handlers and static destructors; the registry must outlive them.
   static PreloadRegistry& instance();
 
-  // The handle for `addr`, adopting (default algorithm, shield on per
-  // RESILOCK_SHIELD) when the address is unknown or tombstoned.
+  // The handle for `addr`, adopting (the shim's shield<MCS>) when the
+  // address is unknown or tombstoned.
   // Exactly-once under arbitrary concurrency. Never returns nullptr —
   // allocation failure during adoption aborts (a lock operation has no
   // error path that could express it).

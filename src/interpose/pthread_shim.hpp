@@ -1,26 +1,26 @@
-// C-style pthread_mutex-compatible shim.
+// C-style pthread_mutex-compatible shim: the lock libresilock_preload.so
+// runs behind every adopted pthread_mutex_t and pthread_rwlock_t.
 //
 // The paper's §7 compares the in-protocol remedies against API-level
 // error reporting (PTHREAD_MUTEX_ERRORCHECK returns EPERM on an unlock
 // by a non-owner; Golang panics). This shim provides exactly that
-// contract over any resilock algorithm, completing the LiTL analogy: C
-// code written against the pthread shapes links against these functions
-// and gets both the chosen algorithm and errorcheck semantics.
+// contract in the pthread shapes, the way the paper's authors built
+// shield_arr.h into glibc's one mutex: bookkeeping in front of one
+// protocol. A mutex is the resilient MCS lock behind the ownership
+// shield (shield/shield.hpp), `shield<MCS>` in lockdep reports, traces
+// and lockstat; it is built directly, with no algorithm registry and
+// no virtual call. The paper's other algorithms stay reachable
+// in-process through the registry (core/lock_registry.hpp) and
+// TransparentMutex.
 //
 //   rl_mutex_t m;
-//   rl_mutex_init(&m, "MCS", 1);   // algorithm + resilient flag
-//   rl_mutex_lock(&m);             // 0 on success
-//   rl_mutex_unlock(&m);           // 0, or EPERM on unbalanced unlock
+//   rl_mutex_init(&m, nullptr, 1);  // or "MCS"; resilient nonzero
+//   rl_mutex_lock(&m);              // 0 on success
+//   rl_mutex_unlock(&m);            // 0, or EPERM on unbalanced unlock
 //   rl_mutex_destroy(&m);
-//
-// NULL algorithm selects the environment default (RESILOCK_ALGO), as
-// LiTL does.
 #pragma once
 
-#include <cstdint>
 #include <ctime>
-#include <string>
-#include <string_view>
 
 namespace resilock::interpose {
 
@@ -28,34 +28,25 @@ struct rl_mutex_t {
   void* impl;  // owned; opaque to C callers
 };
 
-// True unless RESILOCK_SHIELD=0: interposed mutexes are wrapped in the
-// generic ownership shield (src/shield/), so misuse is intercepted
-// before the selected protocol sees it — protection "for free" even for
-// algorithms with no bespoke resilient variant.
-bool shield_interposition_enabled();
-
-// The registry name an interposed mutex should instantiate for `base`:
-// upgrades to "shield<base>" when shield interposition is on, the name
-// is not already a shield composite, and the composite is registered.
-// The C shim applies this to EVERY rl_mutex_init (explicit algorithm
-// names included — C callers are the "interposed program" the shield
-// protects for free); TransparentMutex applies it only to its
-// environment-selected default, since its explicit constructor is the
-// in-process C++ API where callers name an exact registry entry.
-std::string interposed_lock_name(std::string_view base);
-
-// Returns 0 on success, EINVAL for an unknown algorithm name. The
-// mutex is routed through the ownership shield (even for an explicitly
-// named algorithm; `resilient` selects the BASE flavor behind it)
-// unless RESILOCK_SHIELD=0 — set that to study an algorithm's bare
-// misuse behavior through this API.
+// Returns 0 on success, EINVAL for a null mutex or any configuration
+// other than the shim's one: `algorithm` NULL or "MCS", `resilient`
+// nonzero. (The arguments keep the LiTL-style signature of earlier
+// callers, which passed a registry name and a flavor.)
 int rl_mutex_init(rl_mutex_t* m, const char* algorithm, int resilient);
 
 // Returns 0. Blocks until the lock is held.
 int rl_mutex_lock(rl_mutex_t* m);
 
-// Returns 0 if the lock was taken, EBUSY otherwise.
+// Returns 0 if the lock was taken, EBUSY otherwise — including when
+// the caller already holds it, as glibc and POSIX define for a default
+// or errorcheck mutex ("locked, including by the current thread"). The
+// refusal adds no depth and records no misuse event.
 int rl_mutex_trylock(rl_mutex_t* m);
+
+// The trylock of glibc's recursive mutex kind: the owner's trylock is
+// absorbed as the shield's reentrant relock (a depth bump its extra
+// unlock balances), so it returns 0. EBUSY when another thread holds it.
+int rl_mutex_trylock_recursive(rl_mutex_t* m);
 
 // pthread_mutex_timedlock shape: blocks until the lock is acquired or
 // the CLOCK_REALTIME absolute deadline passes. Returns 0 on
@@ -63,14 +54,11 @@ int rl_mutex_trylock(rl_mutex_t* m);
 // held elsewhere, EINVAL for a null/malformed abstime. The timed wait
 // runs outside the queue protocol (park::TimedGate over the trylock
 // path — a queue slot cannot be abandoned mid-wait), so a timeout adds
-// no lockdep order edges, same contract as a failed trylock. An
-// algorithm whose trylock is emulated by blocking (supports_trylock()
-// false — CLH) degrades to a plain blocking lock, documented behavior.
+// no lockdep order edges, same contract as a failed trylock.
 int rl_mutex_timedlock(rl_mutex_t* m, const timespec* abstime);
 
-// Returns 0 on a balanced unlock, EPERM when the algorithm detected an
-// unbalanced unlock (errorcheck semantics; only resilient algorithms
-// detect — originals return 0 and corrupt, faithfully).
+// Returns 0 on a balanced unlock, EPERM when the shield intercepted an
+// unbalanced, double or non-owner unlock (errorcheck semantics).
 int rl_mutex_unlock(rl_mutex_t* m);
 
 // Returns 0; EBUSY if the mutex pointer is null or already destroyed.
@@ -85,10 +73,8 @@ int rl_mutex_destroy(rl_mutex_t* m);
 // contract implementable: the per-thread held record notes
 // whether the caller holds the lock in read or write mode, and the
 // unlock routes to the matching side — or reports EPERM when the
-// caller holds nothing (errorcheck semantics). With RESILOCK_SHIELD=0
-// the bare protocol is exposed; unlock then demultiplexes on the
-// wrapper's own write-owner note and misuse corrupts faithfully, as
-// the paper's §4 analysis describes.
+// caller holds nothing (errorcheck semantics). The writer side is the
+// paper's resilient C-PTKT-TKT cohort lock.
 // ---------------------------------------------------------------------
 
 struct rl_rwlock_t {
@@ -97,18 +83,21 @@ struct rl_rwlock_t {
 
 // `preference` selects the C-RW variant: "rp"/"reader" (also NULL:
 // glibc's default rwlock kind is reader preference), "wp"/"writer",
-// "np"/"neutral". `resilient` selects the base flavor (W-side ticket
-// remedy; the R side is protected by the shield, which is the repo's
-// answer to §4's open problem). Returns 0, or EINVAL for an unknown
-// preference.
-int rl_rwlock_init(rl_rwlock_t* rw, const char* preference, int resilient);
+// "np"/"neutral". The base is always the resilient flavor (W-side
+// ticket remedy; the R side is protected by the shield, which is the
+// repo's answer to §4's open problem). Returns 0, or EINVAL for an
+// unknown preference.
+int rl_rwlock_init(rl_rwlock_t* rw, const char* preference);
 
 // Return 0. Block until granted.
 int rl_rwlock_rdlock(rl_rwlock_t* rw);
 int rl_rwlock_wrlock(rl_rwlock_t* rw);
 
 // Return 0 if granted, EBUSY if the acquisition would have blocked
-// (pthread_rwlock_tryrdlock/trywrlock semantics). Trylocks add no
+// (pthread_rwlock_tryrdlock/trywrlock semantics). As in glibc, a
+// trylock by the caller's own write hold, and a trywrlock by its own
+// read hold, are refused EBUSY with no depth and no misuse event; a
+// tryrdlock by its own read hold is granted. Trylocks add no
 // lockdep order edges — an acquisition that cannot block cannot
 // contribute to a deadlock cycle — but a granted trylock still enters
 // the caller's held set, so the mode-aware unlock routing and misuse

@@ -1,6 +1,5 @@
 #include "interpose/transparent_mutex.hpp"
 
-#include "interpose/pthread_shim.hpp"
 #include "platform/env.hpp"
 #include "telemetry/collector.hpp"
 
@@ -23,11 +22,12 @@ Resilience default_resilience() {
 }
 
 namespace {
-// Environment-selected mutexes ride through the ownership shield unless
-// RESILOCK_SHIELD=0 (interposed_lock_name, shared with the C shim);
+// Environment-selected mutexes ride through the ownership shield;
 // explicitly constructed ones take exactly the algorithm they asked for.
 const std::string& default_interposed_algorithm() {
-  static const std::string name = interposed_lock_name(default_algorithm());
+  static const std::string name = is_shielded_name(default_algorithm())
+                                      ? default_algorithm()
+                                      : shielded_name(default_algorithm());
   return name;
 }
 }  // namespace

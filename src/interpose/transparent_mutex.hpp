@@ -6,7 +6,9 @@
 // contract in-process: TransparentMutex has the pthread mutex shape
 // (lock/trylock/unlock + condition-variable compatibility), and the
 // algorithm behind every instance is chosen at creation time from
-// RESILOCK_ALGO / RESILOCK_RESILIENT or explicit arguments.
+// RESILOCK_ALGO / RESILOCK_RESILIENT or explicit arguments. These two
+// knobs select nothing else: the pthread shim, and with it the preload,
+// always runs shield<MCS> (pthread_shim.hpp).
 //
 // TransparentMutex satisfies BasicLockable, so std::condition_variable_any
 // and std::lock_guard work with it directly — covering LiTL's condition-
@@ -25,6 +27,8 @@ namespace resilock::interpose {
 
 // Algorithm selection for mutexes created without explicit arguments:
 // RESILOCK_ALGO (default "MCS"), RESILOCK_RESILIENT ("1"/"0", default 1).
+// The default constructor wraps that algorithm in the ownership shield
+// ("shield<MCS>" by default).
 const std::string& default_algorithm();
 Resilience default_resilience();
 

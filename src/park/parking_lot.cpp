@@ -67,9 +67,8 @@ void ParkBay::unregister_parker(int slot) noexcept {
       nullptr, std::memory_order_release);
 }
 
-void ParkBay::misuse_wake() noexcept {
-  ParkStats::instance().misuse_wakes.fetch_add(
-      1, std::memory_order_relaxed);
+void ParkBay::wake_registered(
+    const std::atomic<std::uint32_t>* skip) noexcept {
   Slots* s = slots_.load(std::memory_order_acquire);
   if (s == nullptr) return;
   for (std::uint32_t i = 0; i < kSlots; ++i) {
@@ -78,8 +77,26 @@ void ParkBay::misuse_wake() noexcept {
     // Advisory broadcast: the word is an ADDRESS to the futex layer,
     // never dereferenced, so racing a waiter that already woke,
     // deregistered, and freed its queue node is harmless.
-    if (w != nullptr) futex_wake_all(w);
+    if (w != nullptr && w != skip) futex_wake_all(w);
   }
+}
+
+void ParkBay::misuse_wake() noexcept {
+  ParkStats::instance().misuse_wakes.fetch_add(
+      1, std::memory_order_relaxed);
+  wake_registered(nullptr);
+}
+
+void ParkBay::hand_off(std::atomic<std::uint32_t>& word) noexcept {
+  // Only the grant moves a parked word, so a successor seen parked here
+  // is still parked at wake_word's exchange. The mark is stored before
+  // that exchange, so the successor sees it once it sees the grant.
+  // A successor that parks between this load and the exchange goes
+  // unmarked: one hand-off under the old rule, not a lost wake.
+  const bool asleep = word.load(std::memory_order_relaxed) == kWordParked;
+  if (asleep) transit_.store(&word, std::memory_order_relaxed);
+  wake_word(word);
+  if (asleep) wake_registered(&word);
 }
 
 // ---------------------------------------------------------------------
@@ -89,12 +106,22 @@ void ParkBay::misuse_wake() noexcept {
 std::uint32_t wait_word(std::atomic<std::uint32_t>& word,
                         ParkBay* bay) noexcept {
   platform::SpinWait w;
-  const std::uint32_t budget = park_spins();
-  for (std::uint32_t i = 0; i < budget; ++i) {
-    const std::uint32_t v = word.load(std::memory_order_acquire);
-    if (v != kWordWaiting && v != kWordParked) return v;
-    w.pause();
-  }
+  std::uint32_t v;
+  // The spin phase: true once granted (in `v`), false when the budget
+  // ran out with no grant in transit, i.e. it is time to park.
+  auto spin = [&]() {
+    const std::uint32_t budget = park_spins();
+    for (std::uint32_t i = 0;; ++i) {
+      v = word.load(std::memory_order_acquire);
+      if (v != kWordWaiting && v != kWordParked) return true;
+      if (i >= budget) {
+        if (bay == nullptr || !bay->grant_in_transit()) return false;
+        i = 0;
+      }
+      w.pause();
+    }
+  };
+  if (spin()) return v;
   int slot = -1;
   if (parking_enabled() && bay != nullptr) {
     slot = bay->register_parker(&word);
@@ -103,15 +130,12 @@ std::uint32_t wait_word(std::atomic<std::uint32_t>& word,
     // Parking off, or the bay is full. An unregistered sleeper would
     // be invisible to misuse_wake — never park unrescuable; keep the
     // (yielding, via SpinWait) spin loop instead.
-    for (;;) {
-      const std::uint32_t v = word.load(std::memory_order_acquire);
-      if (v != kWordWaiting && v != kWordParked) return v;
-      w.pause();
+    while (!spin()) {
     }
+    return v;
   }
   ParkStats& g = ParkStats::instance();
   ThreadParkTally& tally = ThreadParkTally::mine();
-  std::uint32_t v;
   for (;;) {
     std::uint32_t cur = kWordWaiting;
     if (!word.compare_exchange_strong(cur, kWordParked,
@@ -122,8 +146,8 @@ std::uint32_t wait_word(std::atomic<std::uint32_t>& word,
       break;
     }
     // The word is kWordParked (flipped by us now or left from the
-    // previous round after a rescue wake); the releaser's exchange
-    // will see it and futex_wake.
+    // previous round after a wake without a grant); the releaser's
+    // exchange will see it and futex_wake.
     const bool trace = lockdep::span_tracing_enabled();
     const std::uint64_t t0 = runtime::now_ns_fast();
     bay->note_parked();
@@ -150,10 +174,13 @@ std::uint32_t wait_word(std::atomic<std::uint32_t>& word,
       }
       break;
     }
-    // Woken without a grant: a misuse_wake rescue broadcast, a
-    // signal, or futex spuriousness. Re-check and re-park.
+    // Woken without a grant: a hand-off to another parked waiter of
+    // this lock, a misuse_wake rescue broadcast, a signal, or futex
+    // spuriousness. Spin again before re-parking.
     g.wakes_spurious.fetch_add(1, std::memory_order_relaxed);
+    if (spin()) break;
   }
+  bay->grant_arrived(&word);
   bay->unregister_parker(slot);
   return v;
 }

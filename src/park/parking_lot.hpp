@@ -25,6 +25,14 @@
 // publishes 0 atomically, so the waiter's CAS either loses (sees 0,
 // proceeds) or wins before the exchange (releaser sees 2, wakes).
 //
+// Grants in transit. A FIFO hand-off to a parked waiter leaves the lock
+// held by a sleeping thread until it runs (10-130 us at the mode on a
+// 4-vCPU KVM guest, up to 16 ms). Waiters behind it spun out their
+// ~100 us budget meanwhile and parked too, so every later hand-off went
+// to a sleeper. ParkBay::hand_off therefore marks a grant to a parked
+// waiter in transit and wakes the lock's other parked waiters; no
+// waiter parks while a grant is in transit.
+//
 // Misuse rescue (the point of putting parking in *this* repo): the
 // worst victim of an unbalanced/non-owner unlock is a parked waiter —
 // a spinner wastes CPU but recovers on the next hand-off; a parked
@@ -238,14 +246,34 @@ class ParkBay {
     parked_.fetch_sub(1, std::memory_order_acq_rel);
   }
 
+  // The queue locks' hand-off: wake_word, plus the grant-in-transit
+  // mark and the wake of the other parked waiters when the successor
+  // is asleep (see the top of this file).
+  void hand_off(std::atomic<std::uint32_t>& word) noexcept;
+
+  // A hand-off went to a parked waiter that has not run since.
+  bool grant_in_transit() const noexcept {
+    return transit_.load(std::memory_order_relaxed) != nullptr;
+  }
+
+  // Called by a waiter that parked, once it holds its grant: clears the
+  // transit mark if it is this waiter's.
+  void grant_arrived(std::atomic<std::uint32_t>* word) noexcept {
+    transit_.compare_exchange_strong(word, nullptr,
+                                     std::memory_order_relaxed);
+  }
+
  private:
   struct Slots {
     std::atomic<std::atomic<std::uint32_t>*> ptr[kSlots] = {};
   };
   Slots* slots() noexcept;  // lazy CAS-install; nullptr on OOM
+  // futex_wake every registered word but `skip`.
+  void wake_registered(const std::atomic<std::uint32_t>* skip) noexcept;
 
   std::atomic<Slots*> slots_{nullptr};
   std::atomic<std::uint32_t> parked_{0};
+  std::atomic<std::atomic<std::uint32_t>*> transit_{nullptr};
 };
 
 // ---------------------------------------------------------------------
@@ -256,7 +284,9 @@ class ParkBay {
 // returns the terminal value (kWordGranted in the queue-lock protocol,
 // but any other value a releaser publishes works). `bay` is the
 // owning lock's rescue registry; pass nullptr to forbid parking (the
-// waiter then spins indefinitely, i.e. pre-parking behavior).
+// waiter then spins indefinitely, i.e. pre-parking behavior). The spin
+// budget restarts while the bay has a grant in transit, and again after
+// every wake that brought no grant.
 std::uint32_t wait_word(std::atomic<std::uint32_t>& word,
                         ParkBay* bay) noexcept;
 

@@ -11,7 +11,11 @@
 //   2. One deliberate double-unlock afterwards: the shield absorbs it
 //      (EPERM back, protocol state intact) and the trace JSONL gets a
 //      "double-unlock" event.
-//   3. raise(SIGUSR2) then a short sleep: the collector's duty cycle
+//   3. The owner's own trylocks get glibc's results: EBUSY on a default
+//      mutex and under an rwlock write hold (and a trywrlock under a
+//      read hold), 0 on a recursive mutex and a tryrdlock under a read
+//      hold. A refused trylock adds no depth, so the one unlock frees.
+//   4. raise(SIGUSR2) then a short sleep: the collector's duty cycle
 //      renders a lock_stat report that names worker_loop() — this
 //      file's own symbol — as the hot call site.
 #include <pthread.h>
@@ -27,6 +31,43 @@ constexpr long kPerThread = 20000;
 
 pthread_mutex_t g_mu = PTHREAD_MUTEX_INITIALIZER;
 long g_counter = 0;
+
+pthread_mutex_t g_recursive = PTHREAD_RECURSIVE_MUTEX_INITIALIZER_NP;
+pthread_rwlock_t g_rw = PTHREAD_RWLOCK_INITIALIZER;
+
+void* trylock_g_mu(void*) {
+  const int rc = pthread_mutex_trylock(&g_mu);
+  if (rc == 0) pthread_mutex_unlock(&g_mu);
+  return reinterpret_cast<void*>(static_cast<long>(rc));
+}
+
+void owner_trylocks() {
+  pthread_mutex_lock(&g_mu);
+  printf("owner-trylock-default=%d\n", pthread_mutex_trylock(&g_mu));
+  pthread_mutex_unlock(&g_mu);
+  pthread_t t;
+  void* rc = nullptr;
+  pthread_create(&t, nullptr, trylock_g_mu, nullptr);
+  pthread_join(t, &rc);
+  printf("owner-trylock-then-free=%ld\n", reinterpret_cast<long>(rc));
+
+  pthread_mutex_lock(&g_recursive);
+  const int rec = pthread_mutex_trylock(&g_recursive);
+  printf("owner-trylock-recursive=%d\n", rec);
+  if (rec == 0) pthread_mutex_unlock(&g_recursive);
+  pthread_mutex_unlock(&g_recursive);
+
+  pthread_rwlock_wrlock(&g_rw);
+  printf("owner-tryrdlock-wrheld=%d\n", pthread_rwlock_tryrdlock(&g_rw));
+  printf("owner-trywrlock-wrheld=%d\n", pthread_rwlock_trywrlock(&g_rw));
+  pthread_rwlock_unlock(&g_rw);
+  pthread_rwlock_rdlock(&g_rw);
+  printf("owner-trywrlock-rdheld=%d\n", pthread_rwlock_trywrlock(&g_rw));
+  const int rd = pthread_rwlock_tryrdlock(&g_rw);
+  printf("owner-tryrdlock-rdheld=%d\n", rd);
+  if (rd == 0) pthread_rwlock_unlock(&g_rw);
+  pthread_rwlock_unlock(&g_rw);
+}
 
 }  // namespace
 
@@ -69,6 +110,8 @@ int main() {
   pthread_mutex_unlock(&g_mu);
   int rc = pthread_mutex_unlock(&g_mu);
   printf("double-unlock-rc=%d\n", rc);
+
+  owner_trylocks();
 
   // Live observability: ask for a lock_stat dump the way an operator
   // would, then give the collector a couple of duty cycles to render.

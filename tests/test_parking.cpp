@@ -226,6 +226,38 @@ TEST(ParkWord, ParkingDisabledStaysOnSpinPath) {
   EXPECT_EQ(stats().parks, parks0);
 }
 
+// A hand-off to a parked word marks the grant in transit until its
+// waiter holds the grant, and no waiter of the same bay parks while it
+// is marked; a hand-off to a spinning word marks nothing.
+TEST(ParkWord, NoWaiterParksWhileAGrantIsInTransit) {
+  ParkingGuard park(true);
+  ParkSpinsGuard spins(4);
+  ParkBay bay;
+  std::atomic<std::uint32_t> spinning{kWordWaiting};
+  bay.hand_off(spinning);
+  EXPECT_EQ(spinning.load(), kWordGranted);
+  EXPECT_FALSE(bay.grant_in_transit());
+
+  // A grant to a parked word whose waiter has not run yet.
+  std::atomic<std::uint32_t> asleep{kWordParked};
+  bay.hand_off(asleep);
+  EXPECT_EQ(asleep.load(), kWordGranted);
+  ASSERT_TRUE(bay.grant_in_transit());
+
+  std::atomic<std::uint32_t> word{kWordWaiting};
+  std::thread t([&] { EXPECT_EQ(wait_word(word, &bay), kWordGranted); });
+  rv::wait_for([] { return false; }, rv::milliseconds{20});
+  EXPECT_EQ(bay.parked_count(), 0u);  // spinning through the transit
+  bay.grant_arrived(&asleep);
+  EXPECT_FALSE(bay.grant_in_transit());
+  ASSERT_TRUE(rv::wait_for([&] { return bay.parked_count() >= 1; },
+                           rv::milliseconds{2000}));
+  bay.hand_off(word);
+  t.join();
+  // The parked waiter cleared its own mark on the way out.
+  EXPECT_FALSE(bay.grant_in_transit());
+}
+
 // ---------------------------------------------------------------------
 // Queue-lock wiring: the contended slow path parks, the hand-off
 // wakes, mutual exclusion and counters intact.
@@ -272,6 +304,54 @@ TEST(ParkLocks, ClhParkedHandoff) {
   EXPECT_TRUE(lock.release(main_ctx));
   t.join();
   EXPECT_TRUE(entered.load());
+}
+
+// A grant to a parked MCS waiter wakes the parked waiter queued behind
+// it while the grantee holds the lock, and that waiter spins a fresh
+// budget instead of parking again, so it is not asleep when its own
+// turn comes.
+TEST(ParkLocks, McsHandoffToASleeperWakesTheWaiterBehind) {
+  ParkingGuard park(true);
+  ParkSpinsGuard spins(4);
+  McsLockResilient lock;
+  McsLockResilient::QNode main_node;
+  lock.acquire(main_node);
+  const std::uint64_t spurious0 = stats().wakes_spurious;
+  std::atomic<int> inside{0};
+  std::atomic<bool> overlap{false};
+  std::atomic<bool> behind_woke{false};
+  std::atomic<bool> behind_spinning{false};
+  auto waiter = [&](bool first) {
+    McsLockResilient::QNode n;
+    lock.acquire(n);
+    if (inside.fetch_add(1) != 0) overlap.store(true);
+    if (first) {
+      behind_woke.store(rv::wait_for(
+          [&] { return stats().wakes_spurious > spurious0; },
+          rv::milliseconds{2000}));
+      std::this_thread::sleep_for(rv::milliseconds{2});
+      behind_spinning.store(lock.parked_waiters() == 0);
+    }
+    inside.fetch_sub(1);
+    EXPECT_TRUE(lock.release(n));
+  };
+  std::thread first(waiter, true);
+  ASSERT_TRUE(rv::wait_for([&] { return lock.parked_waiters() >= 1; },
+                           rv::milliseconds{2000}));
+  std::thread behind(waiter, false);
+  ASSERT_TRUE(rv::wait_for([&] { return lock.parked_waiters() >= 2; },
+                           rv::milliseconds{2000}));
+  std::this_thread::sleep_for(rv::milliseconds{5});
+  // The waiter woken behind the grantee spins this budget (about 20 ms
+  // of yields here) before it would park again.
+  ParkSpinsGuard long_spin(1u << 16);
+  EXPECT_TRUE(lock.release(main_node));
+  first.join();
+  behind.join();
+  EXPECT_TRUE(behind_woke.load());
+  EXPECT_TRUE(behind_spinning.load());
+  EXPECT_FALSE(overlap.load());
+  EXPECT_EQ(lock.parked_waiters(), 0u);
 }
 
 TEST(ParkLocks, TicketParkedHandoff) {
@@ -549,7 +629,7 @@ TEST(ShimTimedlock, TimesOutOnHeldMutexWithoutLockdepEdges) {
 TEST(ShimTimedlock, WokenByUnlockBeforeDeadline) {
   ParkingGuard park(true);
   interpose::rl_mutex_t m{};
-  ASSERT_EQ(interpose::rl_mutex_init(&m, "Ticket", 1), 0);
+  ASSERT_EQ(interpose::rl_mutex_init(&m, nullptr, 1), 0);
   ASSERT_EQ(interpose::rl_mutex_lock(&m), 0);
   std::atomic<bool> acquired{false};
   std::thread t([&] {
@@ -579,7 +659,7 @@ TEST(ShimTimedlock, InvalidAbstimeRejected) {
 TEST(ShimTimedlock, RwTimedVariants) {
   ParkingGuard park(true);
   interpose::rl_rwlock_t rw{};
-  ASSERT_EQ(interpose::rl_rwlock_init(&rw, "np", 1), 0);
+  ASSERT_EQ(interpose::rl_rwlock_init(&rw, "np"), 0);
   ASSERT_EQ(interpose::rl_rwlock_wrlock(&rw), 0);
   std::thread t([&] {
     timespec abs = realtime_in_ms(50);

@@ -462,7 +462,7 @@ TEST_F(RwShieldTest, CrossLevelInversionAttributedToLevelClasses) {
 TEST_F(RwShieldTest, RwShimInitLockUnlockDestroy) {
   using namespace resilock::interpose;
   rl_rwlock_t rw{};
-  ASSERT_EQ(rl_rwlock_init(&rw, "np", 1), 0);
+  ASSERT_EQ(rl_rwlock_init(&rw, "np"), 0);
   EXPECT_EQ(rl_rwlock_rdlock(&rw), 0);
   EXPECT_EQ(rl_rwlock_unlock(&rw), 0);  // mode-aware: releases the read
   EXPECT_EQ(rl_rwlock_wrlock(&rw), 0);
@@ -477,14 +477,14 @@ TEST_F(RwShieldTest, RwShimPreferencesAndErrors) {
   for (const char* pref : {"np", "neutral", "rp", "reader", "wp",
                            "writer", static_cast<const char*>(nullptr)}) {
     rl_rwlock_t rw{};
-    ASSERT_EQ(rl_rwlock_init(&rw, pref, 0), 0);
+    ASSERT_EQ(rl_rwlock_init(&rw, pref), 0);
     EXPECT_EQ(rl_rwlock_rdlock(&rw), 0);
     EXPECT_EQ(rl_rwlock_unlock(&rw), 0);
     EXPECT_EQ(rl_rwlock_destroy(&rw), 0);
   }
   rl_rwlock_t rw{};
-  EXPECT_EQ(rl_rwlock_init(&rw, "sideways", 0), EINVAL);
-  EXPECT_EQ(rl_rwlock_init(nullptr, "np", 0), EINVAL);
+  EXPECT_EQ(rl_rwlock_init(&rw, "sideways"), EINVAL);
+  EXPECT_EQ(rl_rwlock_init(nullptr, "np"), EINVAL);
   EXPECT_EQ(rl_rwlock_rdlock(nullptr), EINVAL);
   EXPECT_EQ(rl_rwlock_unlock(nullptr), EINVAL);
 }
@@ -492,7 +492,7 @@ TEST_F(RwShieldTest, RwShimPreferencesAndErrors) {
 TEST_F(RwShieldTest, RwShimReadersOverlapWritersExclude) {
   using namespace resilock::interpose;
   rl_rwlock_t rw{};
-  ASSERT_EQ(rl_rwlock_init(&rw, "np", 1), 0);
+  ASSERT_EQ(rl_rwlock_init(&rw, "np"), 0);
   std::uint64_t data = 0;
   rv::MutexChecker wchk;
   runtime::ThreadTeam::run(4, [&](std::uint32_t tid) {

@@ -137,23 +137,16 @@ std::vector<EnvVar> env_for(Mode m) {
     case Mode::kBare:
       return {};
     case Mode::kShielded:
-      // TAS matches the baseline's fairness class: glibc mutexes are
-      // competitive-handoff, and a FIFO queue lock under
-      // oversubscription (CI runners) measures scheduler convoys, not
-      // interposition cost. Spin-then-park is the production tier.
+      // Spin-then-park is the production tier: a FIFO queue lock whose
+      // waiters only spin convoys behind a preempted holder when
+      // threads outnumber cores (CI runners).
       return {{"LD_PRELOAD", RESILOCK_PRELOAD_LIB},
-              {"RESILOCK_SHIELD", "1"},
-              {"RESILOCK_ALGO", "TAS"},
-              {"RESILOCK_RW_COHORT", "C-BO-BO"},
               {"RESILOCK_LOCKDEP", "off"},
               {"RESILOCK_TELEMETRY", "0"},
               {"RESILOCK_LOCKSTAT", "0"},
               {"RESILOCK_PARK", "1"}};
     case Mode::kFullstack:
       return {{"LD_PRELOAD", RESILOCK_PRELOAD_LIB},
-              {"RESILOCK_SHIELD", "1"},
-              {"RESILOCK_ALGO", "TAS"},
-              {"RESILOCK_RW_COHORT", "C-BO-BO"},
               {"RESILOCK_LOCKDEP", "report"},
               {"RESILOCK_TELEMETRY", "1"},
               {"RESILOCK_LOCKSTAT", "1"},
