@@ -290,7 +290,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nraw     = unprotected original protocol.\n"
       "shield  = shield<lock>, lockdep off: the ownership layer alone.\n"
-      "lockdep = shield<lock>, RESILOCK_LOCKDEP=report: + acquisition\n"
+      "lockdep = shield<lock>, lockdep on (default): + acquisition\n"
       "          stack and order-graph probes (the interposer's default "
       "stack).\n"
       "engine  = lockdep + RESILOCK_POLICY=adaptive rules installed: the\n"

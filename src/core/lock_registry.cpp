@@ -62,7 +62,7 @@ Factory factory(const char* name) {
 
 // Registers `name` and its "shield<name>" composite — the base behind
 // the generic misuse shield, whose verdicts come from RESILOCK_POLICY
-// rules first, with RESILOCK_SHIELD_POLICY as the fallback. Every base
+// rules first, with the default shield policy as the fallback. Every base
 // algorithm is covered, so locks with no bespoke resilient variant
 // still get protection. Labels stay valid for the process: `name` is a
 // literal, and map keys never move and are never freed (registry()).

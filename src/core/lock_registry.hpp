@@ -1,8 +1,9 @@
 // Runtime registry of every lock algorithm, by name.
 //
-// The evaluation harness, TransparentMutex, and the benchmark
-// binaries all select algorithms by string — mirroring how LiTL selects
-// the interposed lock via an environment variable (paper §6).
+// The evaluation harness, the verify matrices and the benchmark
+// binaries all select algorithms by string, as LiTL selects the
+// interposed lock by name (paper §6). The preload runs one lock and
+// never consults the registry (interpose/pthread_shim.hpp).
 #pragma once
 
 #include <memory>

@@ -52,9 +52,9 @@ int rl_mutex_init(rl_mutex_t* m, const char* algorithm, int resilient) {
     return EINVAL;
   }
   // Cold path (one call per lock, not per operation): the right place
-  // to bring up the RESILOCK_TELEMETRY collector for interposed
-  // programs that never emit a misuse event but still want hold/wait
-  // spans and periodic metrics. The lockstat signal trigger installs
+  // to bring up the collector for interposed programs that never emit
+  // a misuse event but still want hold/wait spans, a trace file or
+  // periodic metrics. The lockstat signal trigger installs
   // here too, so an unmodified LD_PRELOAD-ed binary answers SIGUSR2
   // with a live contention report.
   telemetry::autostart_from_env();

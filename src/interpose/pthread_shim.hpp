@@ -10,8 +10,7 @@
 // shield (shield/shield.hpp), `shield<MCS>` in lockdep reports, traces
 // and lockstat; it is built directly, with no algorithm registry and
 // no virtual call. The paper's other algorithms stay reachable
-// in-process through the registry (core/lock_registry.hpp) and
-// TransparentMutex.
+// in-process through the registry (core/lock_registry.hpp).
 //
 //   rl_mutex_t m;
 //   rl_mutex_init(&m, nullptr, 1);  // or "MCS"; resilient nonzero

@@ -14,8 +14,8 @@
 //
 // A collector drains all rings through TraceBuffer::drain(); in
 // production that collector is the background thread in src/telemetry/
-// (adaptive duty cycle, batched sink writes), with the atexit dump and
-// on-demand exporters as fallbacks.
+// (adaptive duty cycle, batched sink writes), the only writer of
+// RESILOCK_TRACE_FILE.
 //
 // With span tracing on, the shields and the park layer add one
 // completed record per hold, per contended wait and per kernel sleep,
@@ -317,14 +317,11 @@ inline std::size_t ring_capacity_from_env() {
   return cap;
 }
 
-// Registers the RESILOCK_TRACE_FILE atexit JSONL dump when that
-// variable is set; idempotent. Defined in trace_export.cpp.
-void register_env_trace_exporter();
-
 // First-use notification for the telemetry plane (src/telemetry/):
 // registers the flush-before-abort hook and autostarts the background
-// collector when RESILOCK_TELEMETRY is set. Idempotent, reentrancy-
-// safe. Defined in telemetry/collector.cpp.
+// collector when it has a job (a trace file, a metrics file or
+// lockstat). Idempotent, reentrancy-safe. Defined in
+// telemetry/collector.cpp.
 void telemetry_first_use_hook();
 
 // Process-wide collector over lazily allocated per-pid rings.
@@ -460,11 +457,10 @@ class TraceBuffer {
   }
 
   // A pid's first event. Also the telemetry plane's first-use point,
-  // kept off the emit path: the hooks are idempotent, and running them
-  // here — after the buffer's construction completed — registers the
-  // atexit dump AFTER it, so the dump runs BEFORE the buffer's
-  // destructor (handlers run in reverse registration order) and never
-  // touches freed rings.
+  // kept off the emit path: the hook is idempotent, and it runs here,
+  // after the buffer's construction completed, so a collector it
+  // starts is built after the buffer and its final drain at exit runs
+  // before the buffer's destructor.
   [[gnu::noinline]] EventRing& install_ring(std::uint32_t pid) {
     auto& slot = rings_[pid];
     EventRing* r = new EventRing(ring_capacity_from_env());
@@ -475,7 +471,6 @@ class TraceBuffer {
       delete r;  // pid slots recycle; a previous tenant installed one
       r = expected;
     }
-    register_env_trace_exporter();
     telemetry_first_use_hook();
     return *r;
   }

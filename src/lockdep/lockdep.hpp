@@ -52,8 +52,9 @@
 //     edge, and a stale one loses only its lockdep part. The hot path
 //     writes nothing to the shared table: the epoch moves only on
 //     those misuse and hand-off paths;
-//   * verdicts wired to RESILOCK_LOCKDEP=report|abort|off (default
-//     report), runtime-settable like the shield policy.
+//   * verdicts from the response engine's RESILOCK_POLICY rules
+//     ("lockdep=abort"), with log as the fallback; RESILOCK_LOCKDEP=off
+//     is the tracking switch, runtime-settable like the shield policy.
 //
 // Tunables: RESILOCK_LOCKDEP_SHARDS (freelist shards, power of two,
 // default 8, max 64) and RESILOCK_LOCKDEP_CHUNK (slots mapped per
@@ -133,38 +134,30 @@ constexpr bool class_tracked(ClassId id) noexcept {
 // Mode: the lockdep analog of the shield's policy engine.
 // ---------------------------------------------------------------------
 
+// Whether tracking is engaged. What a report does (log, abort, ...) is
+// the response engine's verdict, not a mode.
 enum class LockdepMode : std::uint8_t {
   kOff,     // no tracking at all (hooks disengage)
-  kReport,  // count + trace + print each first-seen inversion/cycle
-  kAbort,   // report, then abort() before the acquisition can wedge
+  kReport,  // count + trace each first-seen inversion/cycle (default)
 };
 
 constexpr const char* to_string(LockdepMode m) noexcept {
   switch (m) {
     case LockdepMode::kOff: return "off";
     case LockdepMode::kReport: return "report";
-    case LockdepMode::kAbort: return "abort";
   }
   return "?";
 }
 
-inline std::optional<LockdepMode> mode_from_name(std::string_view name) {
-  if (name == "off") return LockdepMode::kOff;
-  if (name == "report") return LockdepMode::kReport;
-  if (name == "abort") return LockdepMode::kAbort;
-  return std::nullopt;
-}
-
 namespace detail {
 inline std::atomic<LockdepMode>& mode_flag() {
-  // RESILOCK_LOCKDEP is the legacy static knob; with RESILOCK_POLICY
-  // rules installed it only decides whether tracking is engaged (off)
-  // and serves as the verdict fallback for unmatched events.
+  // RESILOCK_LOCKDEP=off is the tracking switch; any other value, or
+  // none, leaves tracking on.
   static std::atomic<LockdepMode> flag{[] {
-    if (const char* v = platform::env_raw("RESILOCK_LOCKDEP")) {
-      if (auto m = mode_from_name(v)) return *m;
-    }
-    return LockdepMode::kReport;
+    const char* v = platform::env_raw("RESILOCK_LOCKDEP");
+    return v != nullptr && std::string_view(v) == "off"
+               ? LockdepMode::kOff
+               : LockdepMode::kReport;
   }()};
   return flag;
 }

@@ -1,13 +1,10 @@
 #include "lockdep/trace_export.hpp"
 
 #include <charconv>
-#include <cstdlib>
 #include <cstring>
 
 #include "core/access_mode.hpp"
-#include "interpose/reentry.hpp"
 #include "lockdep/lockdep.hpp"
-#include "platform/env.hpp"
 #include "platform/json.hpp"
 #include "response/response.hpp"
 
@@ -140,52 +137,6 @@ void write_jsonl_header(std::FILE* f) {
   if (std::fseek(f, 0, SEEK_END) != 0 || std::ftell(f) != 0) return;
   std::fprintf(f, "{\"schema\":\"resilock-trace\",\"version\":%d}\n",
                kTraceSchemaVersion);
-}
-
-void write_event_jsonl(std::FILE* f, const TraceEvent& e) {
-  JsonlWriter(f).write(e);
-}
-
-std::size_t write_trace_jsonl(std::FILE* f) {
-  write_jsonl_header(f);
-  JsonlWriter w(f);
-  return TraceBuffer::instance().drain(
-      [&](const TraceEvent& e) { w.write(e); });
-}
-
-bool export_trace_jsonl(const char* path, std::size_t* written) {
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) {
-    std::fprintf(stderr, "resilock[trace]: cannot open %s for append\n",
-                 path);
-    return false;
-  }
-  const std::size_t n = write_trace_jsonl(f);
-  std::fclose(f);
-  if (written != nullptr) *written = n;
-  return true;
-}
-
-namespace {
-void atexit_trace_dump() {
-  // Runs on the exiting thread OUTSIDE any interposed frame. Under
-  // LD_PRELOAD the drain below operates resilock-internal locks, which
-  // must reach glibc rather than be adopted mid-exit.
-  interpose::preload_pin_thread();
-  if (const char* path = platform::env_raw("RESILOCK_TRACE_FILE")) {
-    export_trace_jsonl(path);
-  }
-}
-}  // namespace
-
-void register_env_trace_exporter() {
-  static const bool once = [] {
-    if (platform::env_raw("RESILOCK_TRACE_FILE") != nullptr) {
-      std::atexit(atexit_trace_dump);
-    }
-    return true;
-  }();
-  (void)once;
 }
 
 }  // namespace resilock::lockdep

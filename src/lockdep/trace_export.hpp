@@ -1,13 +1,13 @@
-// JSONL export of the trace rings — the line formatter every JSONL
-// writer shares (the telemetry plane's JsonlSink, the atexit dump and
-// the abort-path fallback), and the on-demand exporters.
+// JSONL trace format — the line formatter of the telemetry plane's
+// JSONL sink (telemetry/sinks.cpp), which the background collector
+// drives into RESILOCK_TRACE_FILE.
 //
 // Counters say THAT misuse happened; the ring says when/who/what; this
-// exporter gets that record out of the process so it can be inspected
+// format gets that record out of the process so it can be inspected
 // post-mortem: one JSON object per line, append-mode, so successive
-// dumps (and successive runs) accumulate into one greppable log. A new
-// file starts with one schema version record (lockdep::
-// kTraceSchemaVersion); every other line is an event:
+// runs accumulate into one greppable log. A new file starts with one
+// schema version record (lockdep::kTraceSchemaVersion); every other
+// line is an event:
 //
 //   {"schema":"resilock-trace","version":2}
 //   {"ns":123,"kind":"non-owner-unlock","lock":"0x...","pid":3,
@@ -20,21 +20,6 @@
 // Hold, wait and park records carry `dur_ns` (their `ns` is the
 // begin); a drop record carries `dropped`, the events its pid's ring
 // lost since the previous one.
-//
-// Two entry points:
-//   * on-demand — export_trace_jsonl(path) / write_trace_jsonl(FILE*)
-//     drain whatever is queued right now;
-//   * atexit   — with RESILOCK_TRACE_FILE=<path> set, a process-exit
-//     dump is registered automatically the first time any event is
-//     emitted. std::abort() exits skip atexit handlers, but the
-//     telemetry plane's flush-before-abort hook (telemetry/collector)
-//     drains the rings to RESILOCK_TRACE_FILE on the engine's abort
-//     path, so aborting verdicts no longer lose the trace.
-//
-// Draining consumes: events written by an exporter are gone from the
-// ring. The single-consumer contract of TraceBuffer::drain applies —
-// and is enforced: a drain racing the background collector's returns
-// 0 rather than interleaving.
 #pragma once
 
 #include <array>
@@ -88,16 +73,5 @@ class JsonlWriter {
 // Writes the schema version record when `f` is positioned at the start
 // of an empty file (a JSONL trace being started).
 void write_jsonl_header(std::FILE* f);
-
-// Formats one event as a single JSONL line (no drain, no label cache).
-void write_event_jsonl(std::FILE* f, const TraceEvent& e);
-
-// Drains every ring into `f` as JSONL; returns events written (drop
-// records not counted).
-std::size_t write_trace_jsonl(std::FILE* f);
-
-// Opens `path` (append) and drains into it. False when the file cannot
-// be opened; `written` (optional) receives the event count.
-bool export_trace_jsonl(const char* path, std::size_t* written = nullptr);
 
 }  // namespace resilock::lockdep

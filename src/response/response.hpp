@@ -2,9 +2,9 @@
 // protection layer.
 //
 // The paper frames the *remedy* for a caught misuse as a per-protocol
-// decision; PR 1 (shield) and PR 2 (lockdep) each grew their own static
-// policy knob (RESILOCK_SHIELD_POLICY, RESILOCK_LOCKDEP). A deployment,
-// however, wants to express responses in terms of what is actually at
+// decision, and the shield and lockdep each keep a static fallback (the
+// default shield policy, lockdep's log). A deployment, however, wants
+// to express responses in terms of what is actually at
 // stake RIGHT NOW: an unbalanced unlock of an uncontended lock is
 // harmless to forward, the same unlock with waiters queued deserves a
 // log line, and an order cycle reported while threads are already
@@ -56,11 +56,11 @@
 // bucket empty degrades to suppress, so noisy production misuse cannot
 // flood stderr or the trace ring.
 //
-// Backward compatibility: with no rules installed (no RESILOCK_POLICY,
-// "legacy", or an empty spec) every decision returns the caller's
-// fallback action — the shield passes its per-instance policy and
-// lockdep passes its mode — so the old env vars behave exactly as
-// before. Explicit per-Shield policies always win over rules.
+// With no rules installed (no RESILOCK_POLICY, "legacy", or an empty
+// spec) every decision returns the caller's fallback action — the
+// shield passes its per-instance or default policy (suppress unless
+// set in-process), lockdep passes log. Explicit per-Shield policies
+// always win over rules.
 #pragma once
 
 #include <atomic>
@@ -251,8 +251,7 @@ class ResponseEngine {
 
   // The verdict pipeline. Rules are consulted in order, first match
   // wins; with no rules (or no match) the caller's `fallback` — its
-  // legacy static policy — is returned, which is what keeps the old
-  // RESILOCK_SHIELD_POLICY / RESILOCK_LOCKDEP semantics intact.
+  // static policy — is returned.
   // Called only on the cold path (a caught misuse or a first-seen
   // order violation), never per lock operation.
   Action decide(ResponseEvent ev, const EventContext& ctx,
@@ -330,10 +329,11 @@ void dispatch_abort(ResponseEvent ev, const void* lock);
 // std::abort(). std::abort() skips atexit handlers, so without this an
 // aborting verdict — the engine's strongest response — lost the very
 // trace that justified it. The telemetry plane installs a hook that
-// stops the collector (final drain included) and dumps any queued
-// events to RESILOCK_TRACE_FILE. Not invoked when a custom
-// AbortHandler intercepts the abort (the process survives; the normal
-// pipeline keeps running). Returns the previous hook.
+// stops the collector: a final drain into its sinks, then the sinks
+// closed, so RESILOCK_TRACE_FILE holds the fatal event. Not invoked
+// when a custom AbortHandler intercepts the abort (the process
+// survives; the normal pipeline keeps running). Returns the previous
+// hook.
 using AbortFlushHook = void (*)();
 AbortFlushHook set_abort_flush_hook(AbortFlushHook h) noexcept;
 

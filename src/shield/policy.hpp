@@ -9,28 +9,22 @@
 // migrations want logging, and measurement runs want faithful
 // pass-through so the original consequences stay observable.
 //
-// The process-wide default policy is RESILOCK_SHIELD_POLICY
-// ("suppress" | "abort" | "log" | "passthrough", default "suppress") and
-// can be changed at runtime; every Shield<L> instance can override it.
+// The process-wide default policy is suppress and can be changed at
+// runtime (set_default_shield_policy, ShieldPolicyGuard); every
+// Shield<L> instance can override it.
 //
 // Since the unified response engine (src/response/), this static
-// policy is the *fallback* of the verdict pipeline: with
-// RESILOCK_POLICY rules installed, a default-policy shield asks the
-// engine first (telemetry-aware escalation) and only lands here when
-// no rule matches. RESILOCK_SHIELD_POLICY is therefore a deprecated
-// alias kept for compatibility — without rules it behaves exactly as
-// it always did.
+// policy is the *fallback* of the verdict pipeline: a default-policy
+// shield asks the engine's RESILOCK_POLICY rules first (telemetry-aware
+// escalation) and only lands here when no rule matches. A deployment
+// picks its verdicts with rules ("misuse=abort"), not with this
+// policy.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <optional>
-#include <string_view>
 
-#include "platform/env.hpp"
 #include "platform/thread_registry.hpp"
 #include "response/response.hpp"
 
@@ -80,14 +74,6 @@ constexpr const char* to_string(MisuseKind k) noexcept {
   return "?";
 }
 
-inline std::optional<ShieldPolicy> policy_from_name(std::string_view name) {
-  if (name == "suppress") return ShieldPolicy::kSuppress;
-  if (name == "abort") return ShieldPolicy::kAbort;
-  if (name == "log") return ShieldPolicy::kLogAndSuppress;
-  if (name == "passthrough") return ShieldPolicy::kPassThrough;
-  return std::nullopt;
-}
-
 // The engine's Action space is the policy space; this is the
 // compatibility mapping that lets a static ShieldPolicy serve as the
 // verdict-pipeline fallback.
@@ -103,12 +89,7 @@ constexpr response::Action to_action(ShieldPolicy p) noexcept {
 
 namespace detail {
 inline std::atomic<ShieldPolicy>& default_policy_flag() {
-  static std::atomic<ShieldPolicy> flag{[] {
-    if (const char* v = platform::env_raw("RESILOCK_SHIELD_POLICY")) {
-      if (auto p = policy_from_name(v)) return *p;
-    }
-    return ShieldPolicy::kSuppress;
-  }()};
+  static std::atomic<ShieldPolicy> flag{ShieldPolicy::kSuppress};
   return flag;
 }
 }  // namespace detail

@@ -9,7 +9,6 @@
 #include "interpose/reentry.hpp"
 #include "lockdep/event_ring.hpp"
 #include "lockdep/lockdep.hpp"
-#include "lockdep/trace_export.hpp"
 #include "observe/lockstat.hpp"
 #include "park/futex.hpp"
 #include "platform/chrono_to_timespec.hpp"
@@ -72,10 +71,10 @@ struct Collector::Impl {
   std::uint64_t last_lockstat_ns = 0;  // worker/stop thread only
 
   // One drain of every ring into every sink, one flush per sink.
-  // With no sinks attached the rings are left untouched so the atexit
-  // JSONL exporter (and the abort-flush fallback) still find the
-  // events. `pressed`: some ring was at least half full (its producer
-  // is outrunning the duty cycle).
+  // With no sinks attached (a collector started for metrics or
+  // lockstat only) the rings are left untouched: draining them would
+  // cost a cycle per event for nothing. `pressed`: some ring was at
+  // least half full (its producer is outrunning the duty cycle).
   std::size_t drain_cycle(bool* pressed = nullptr) {
     std::lock_guard<std::mutex> lk(sink_mu);
     if (sinks.empty()) return 0;
@@ -269,8 +268,7 @@ void Collector::stop() {
     impl_->worker = std::thread();
     impl_->running.store(false, std::memory_order_release);
   }
-  // Final drain (no-op without sinks: the events stay queued for the
-  // atexit/abort JSONL exporters), final metrics dump, and sink
+  // Final drain (no-op without sinks), final metrics dump, and sink
   // close so single-document formats are valid on disk. The sink set
   // is cleared — a later start() rebuilds from the environment.
   impl_->drain_cycle();
@@ -282,35 +280,12 @@ void Collector::stop() {
 }
 
 void autostart_from_env() {
-  // RESILOCK_LOCKSTAT alone also wants the collector: a bare-sink
-  // collector is harmless (drain_cycle no-ops, rings stay queued for
-  // the atexit exporters) but its duty cycle is what services periodic
-  // lockstat dumps and the signal trigger in an LD_PRELOAD-ed process.
-  const bool lockstat = platform::env_flag("RESILOCK_LOCKSTAT", false);
-  if (lockstat) observe::install_signal_trigger_from_env();
-  if (!platform::env_flag("RESILOCK_TELEMETRY", false) && !lockstat) {
+  if (platform::env_raw("RESILOCK_TRACE_FILE") == nullptr &&
+      platform::env_raw("RESILOCK_METRICS_FILE") == nullptr &&
+      !platform::env_flag("RESILOCK_LOCKSTAT", false)) {
     return;
   }
   Collector::instance().start();
-}
-
-// Runs on the response engine's DEFAULT abort path, just before
-// std::abort(). Every abort site emits its trace event before
-// dispatching, so stopping the pipeline here lands the fatal event on
-// disk: a running collector gets a final drain and its sinks are
-// closed (finalizing perfetto documents); if the collector never ran,
-// the queued events fall back to a JSONL dump to RESILOCK_TRACE_FILE
-// — the file atexit would have written if std::abort didn't skip
-// atexit handlers.
-void flush_for_abort() {
-  Collector& c = Collector::instance();
-  const bool piped = c.running();
-  c.stop();
-  if (!piped) {
-    if (const char* path = platform::env_raw("RESILOCK_TRACE_FILE")) {
-      lockdep::export_trace_jsonl(path);
-    }
-  }
 }
 
 }  // namespace resilock::telemetry
@@ -323,7 +298,13 @@ namespace resilock::lockdep {
 void telemetry_first_use_hook() {
   if (g_hook_fired.load(std::memory_order_acquire)) return;
   if (g_hook_fired.exchange(true, std::memory_order_acq_rel)) return;
-  response::set_abort_flush_hook(&telemetry::flush_for_abort);
+  // Runs on the response engine's DEFAULT abort path, just before
+  // std::abort(), which skips the collector's destructor. Every abort
+  // site emits its trace event before dispatching, so the final drain
+  // lands the fatal event on disk and closing the sinks finalizes a
+  // perfetto document.
+  response::set_abort_flush_hook(
+      [] { telemetry::Collector::instance().stop(); });
   telemetry::autostart_from_env();
 }
 

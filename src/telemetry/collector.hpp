@@ -1,11 +1,12 @@
 // Background trace collector — the live half of the observability
 // plane (ROADMAP: "background collector with a bounded duty cycle,
-// batched writes, drop accounting").
+// batched writes, drop accounting"), and the only writer of
+// RESILOCK_TRACE_FILE.
 //
-// The atexit JSONL dump works for short runs; a production service
-// emitting misuse and span events for hours overflows the 128-entry
-// rings in microseconds. The collector is one background thread that
-// drains every TraceBuffer ring on an ADAPTIVE duty cycle:
+// A production service emitting misuse and span events for hours
+// overflows the 128-entry rings in microseconds. The collector is one
+// background thread that drains every TraceBuffer ring on an ADAPTIVE
+// duty cycle:
 //
 //   empty drain  -> sleep doubles (50us .. 5ms) — an idle process
 //                   costs a few hundred wakeups/sec at worst, and
@@ -26,14 +27,16 @@
 // exact: emitted == delivered + dropped + still-queued, and after a
 // final drain the queue term is zero.
 //
-// Lifecycle: start() is lazy and idempotent — called on a ring's first
-// allocation via lockdep::telemetry_first_use_hook() when
-// RESILOCK_TELEMETRY=1 (or explicitly by embedders). stop() requests,
-// joins, runs a final drain, and CLOSES the sinks so single-document
-// formats (perfetto) are finalized; a subsequent start() rebuilds the
-// sink set from the environment. The same stop path runs inside the
-// response engine's abort-flush hook, which is how an aborting verdict
-// stopped losing its trace.
+// Lifecycle: the collector starts when it has a job — a trace file, a
+// metrics file or lockstat (autostart_from_env) — on a ring's first
+// allocation (lockdep::telemetry_first_use_hook()) or an interposed
+// lock's init, or explicitly by embedders; start() is idempotent.
+// stop() requests, joins, runs a final drain, and CLOSES the sinks so
+// single-document formats (perfetto) are finalized; a subsequent
+// start() rebuilds the sink set from the environment. Process exit
+// stops it from the singleton's destructor, and an aborting verdict
+// stops it from the response engine's abort-flush hook, so both land
+// the whole trace on disk.
 #pragma once
 
 #include <cstdint>
@@ -98,15 +101,10 @@ class Collector {
   Impl* impl_;
 };
 
-// Starts the collector iff RESILOCK_TELEMETRY is truthy. Called from
-// the first-use hook and from interpose init; idempotent.
+// Starts the collector when it has a job: RESILOCK_TRACE_FILE or
+// RESILOCK_METRICS_FILE is set, or RESILOCK_LOCKSTAT is on (its duty
+// cycle serves periodic and signal-triggered lockstat reports). Called
+// from the first-use hook and from interposed lock init; idempotent.
 void autostart_from_env();
-
-// The response engine's flush-before-abort hook (installed by the
-// first-use hook): stops a running collector — final drain, sinks
-// closed, documents finalized — or, when the collector never ran,
-// dumps the queued events as JSONL to RESILOCK_TRACE_FILE. This is
-// what keeps an aborting verdict from losing its own trace.
-void flush_for_abort();
 
 }  // namespace resilock::telemetry

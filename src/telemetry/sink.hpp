@@ -4,10 +4,9 @@
 // feeds every event to each attached sink; a sink turns the stream
 // into some on-disk artifact. Two ship with the library:
 //
-//   jsonl     one JSON object per line, append-mode — the same schema
-//             as trace_export (the formatter IS trace_export's
-//             JsonlWriter, so the two cannot drift), opened by a schema
-//             version line. Greppable, concatenates across runs.
+//   jsonl     one JSON object per line, append-mode, formatted by
+//             trace_export's JsonlWriter and opened by a schema version
+//             line. Greppable, concatenates across runs.
 //   perfetto  a chrome-trace JSON document ({"traceEvents":[...]})
 //             loadable in chrome://tracing and ui.perfetto.dev, with a
 //             "trace_schema" metadata entry: misuse / inversion / cycle

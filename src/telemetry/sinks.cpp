@@ -59,8 +59,8 @@ std::FILE* open_buffered(const char* path, const char* mode,
 }
 
 // ---------------------------------------------------------------------
-// JSONL: trace_export's line formatter, streamed instead of
-// atexit-dumped. Class labels are resolved once per drain cycle.
+// JSONL: trace_export's line formatter, streamed. Class labels are
+// resolved once per drain cycle.
 // ---------------------------------------------------------------------
 
 class JsonlSink final : public FileSink {
@@ -239,8 +239,7 @@ class PerfettoSink final : public FileSink {
 
 std::unique_ptr<Sink> make_jsonl_sink(const char* path) {
   std::unique_ptr<char[]> buf;
-  // Append: JSONL concatenates across dumps and runs, same as the
-  // atexit exporter it upgrades.
+  // Append: JSONL concatenates across runs.
   std::FILE* f = open_buffered(path, "a", buf);
   if (f == nullptr) return nullptr;
   return std::make_unique<JsonlSink>(f, std::move(buf));

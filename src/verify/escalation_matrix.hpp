@@ -1,7 +1,7 @@
 // Escalation scenario matrix: does the unified response engine
 // (src/response/) fire each tier of the adaptive ladder under exactly
-// the situation the rule names, and do the legacy policy knobs still
-// mean what they always meant?
+// the situation the rule names, and do the static fallback policies
+// still mean what they always meant?
 //
 // Three scripted scenarios per base algorithm, run on shield<X> from
 // the registry (default-policy shields — the engine-eligible kind)
@@ -19,8 +19,8 @@
 //                   continue, so the scenario also proves every thread
 //                   still joins.
 // Plus the compatibility gate: with no rules installed, the engine
-// must map every legacy RESILOCK_SHIELD_POLICY value and
-// RESILOCK_LOCKDEP mode onto itself (decide() == fallback).
+// must map every static shield policy (and lockdep's log) onto itself
+// (decide() == fallback).
 #pragma once
 
 #include <string>
@@ -50,8 +50,8 @@ std::vector<EscalationReport> run_escalation_matrix(
     const std::vector<std::string>& names = {});
 
 // True iff decide() == fallback for every (legacy policy, event kind,
-// context) combination with no rules installed — the compatibility
-// mapping the old env vars ride on.
+// context) combination with no rules installed — the mapping the
+// per-shield and default policies ride on.
 bool verify_legacy_compat_mapping();
 
 void print_escalation_matrix(const std::vector<EscalationReport>& reports);

@@ -95,7 +95,7 @@ struct ShieldComparison {
 
 // Runs the comparison for `names` (default: the Table 2 six). The
 // shield policy is pinned to kSuppress for the run so results do not
-// depend on RESILOCK_SHIELD_POLICY.
+// depend on the process's default policy.
 std::vector<ShieldComparison> run_shield_matrix(
     const std::vector<std::string>& names = {});
 

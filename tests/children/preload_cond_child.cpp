@@ -16,10 +16,10 @@
 //           pthread_cancel acting on a thread asleep in a cond wait.
 //   exit    a static thread pool whose destructor, run by exit(), sets
 //           stop, broadcasts and joins workers asleep in
-//           pthread_cond_wait. Run with RESILOCK_TELEMETRY=1, the
-//           collector's static destructor has pinned the exiting thread
-//           to glibc by then, so the broadcast comes from a pinned
-//           thread.
+//           pthread_cond_wait. Run with a trace file (which starts the
+//           collector), the collector's static destructor has pinned
+//           the exiting thread to glibc by then, so the broadcast comes
+//           from a pinned thread.
 //
 // An alarm() watchdog turns a lost wakeup into a SIGALRM death instead
 // of a hang; the parent test asserts on the printed lines.

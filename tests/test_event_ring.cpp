@@ -1,14 +1,14 @@
 // Stress tests for the misuse-event transport (src/lockdep/
-// event_ring.hpp) and the JSONL trace exporter (trace_export.hpp):
+// event_ring.hpp) and the JSONL trace format (trace_export.hpp):
 //   * EventRing wraparound — indices run past the capacity many times
 //     over; FIFO order and drop accounting must stay exact;
 //   * concurrent drain-while-writing — a producer thread emits through
 //     TraceBuffer while a consumer drains, which is exactly the
 //     SPSC contract the rings claim (TSan runs this in CI);
-//   * the JSONL exporter — a schema record, then one well-formed line
-//     per drained event, append semantics, verdict/label fields when
-//     present, byte for byte what the fprintf formatter it replaced
-//     wrote.
+//   * the JSONL sink, drained by the collector — a schema record, then
+//     one well-formed line per drained event, append semantics,
+//     verdict/label fields when present, byte for byte what the fprintf
+//     formatter it replaced wrote.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +19,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/rw/crw.hpp"
@@ -29,6 +30,8 @@
 #include "response/response.hpp"
 #include "shield/rw_shield.hpp"
 #include "shield/shield.hpp"
+#include "telemetry/collector.hpp"
+#include "telemetry/sink.hpp"
 
 using namespace resilock;
 using lockdep::EventKind;
@@ -50,6 +53,18 @@ void clear_trace() { TraceBuffer::instance().drain_all(); }
 
 constexpr const char* kSchemaLine =
     "{\"schema\":\"resilock-trace\",\"version\":2}";
+
+// Drains every ring into `path` through the JSONL sink, as the
+// collector does for RESILOCK_TRACE_FILE; returns the events drained.
+std::size_t drain_to_jsonl(const std::string& path) {
+  telemetry::Collector& c = telemetry::Collector::instance();
+  auto sink = telemetry::make_jsonl_sink(path.c_str());
+  EXPECT_NE(sink, nullptr) << path;
+  c.add_sink(std::move(sink));
+  const std::size_t n = c.drain_now();
+  c.stop();  // closes the sink and detaches it
+  return n;
+}
 
 }  // namespace
 
@@ -166,7 +181,7 @@ TEST(TraceBuffer, DrainWhileWriting) {
 }
 
 // ---------------------------------------------------------------------
-// JSONL exporter.
+// JSONL sink.
 // ---------------------------------------------------------------------
 
 TEST(TraceExport, WritesOneWellFormedLinePerEvent) {
@@ -180,9 +195,7 @@ TEST(TraceExport, WritesOneWellFormedLinePerEvent) {
   const std::string path =
       ::testing::TempDir() + "resilock_trace_test.jsonl";
   std::remove(path.c_str());
-  std::size_t written = 0;
-  ASSERT_TRUE(lockdep::export_trace_jsonl(path.c_str(), &written));
-  EXPECT_EQ(written, 2u);
+  EXPECT_EQ(drain_to_jsonl(path), 2u);
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -202,11 +215,10 @@ TEST(TraceExport, WritesOneWellFormedLinePerEvent) {
     EXPECT_EQ(l.back(), '}');
   }
 
-  // Append semantics: a second dump adds lines, never truncates, and
-  // writes no second schema record.
+  // Append semantics: a second sink on the file adds lines, never
+  // truncates, and writes no second schema record.
   tb.emit(EventKind::kUnbalancedUnlock, &lock_a);
-  ASSERT_TRUE(lockdep::export_trace_jsonl(path.c_str(), &written));
-  EXPECT_EQ(written, 1u);
+  EXPECT_EQ(drain_to_jsonl(path), 1u);
   std::ifstream again(path);
   std::size_t count = 0;
   for (std::string line; std::getline(again, line);) ++count;
@@ -292,9 +304,7 @@ TEST(TraceExport, RwPayloadAndClassFieldsInJsonl) {
   const std::string path =
       ::testing::TempDir() + "resilock_trace_payload.jsonl";
   std::remove(path.c_str());
-  std::size_t written = 0;
-  ASSERT_TRUE(lockdep::export_trace_jsonl(path.c_str(), &written));
-  EXPECT_EQ(written, 2u);
+  EXPECT_EQ(drain_to_jsonl(path), 2u);
   std::ifstream in(path);
   std::vector<std::string> lines;
   for (std::string line; std::getline(in, line);) lines.push_back(line);
@@ -315,12 +325,12 @@ TEST(TraceExport, DrainingExportLeavesRingsEmpty) {
   auto& tb = TraceBuffer::instance();
   int lock_a = 0;
   tb.emit(EventKind::kReentrantRelock, &lock_a);
-  // Write through a FILE* as the atexit path does.
-  std::FILE* f = std::tmpfile();
-  ASSERT_NE(f, nullptr);
-  EXPECT_GE(lockdep::write_trace_jsonl(f), 1u);
-  std::fclose(f);
+  const std::string path =
+      ::testing::TempDir() + "resilock_trace_drained.jsonl";
+  std::remove(path.c_str());
+  EXPECT_GE(drain_to_jsonl(path), 1u);
   EXPECT_EQ(tb.drain_all().size(), 0u);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -352,7 +362,7 @@ void reference_escaped(std::FILE* f, std::string_view s) {
   std::fputc('"', f);
 }
 
-// The previous write_event_jsonl, kept as the reference.
+// The fprintf formatter JsonlWriter replaced, kept as the reference.
 std::string reference_line(const TraceEvent& e) {
   char* buf = nullptr;
   std::size_t len = 0;

@@ -27,10 +27,11 @@
 #include "core/mcs.hpp"
 #include "core/tas.hpp"
 #include "core/ticket.hpp"
-#include "interpose/transparent_mutex.hpp"
+#include "interpose/pthread_shim.hpp"
 #include "lockdep/event_ring.hpp"
 #include "lockdep/lockdep.hpp"
 #include "observe/lockstat.hpp"
+#include "response/response.hpp"
 #include "shield/held_lock_table.hpp"
 #include "shield/shield.hpp"
 #include "verify/lockdep_matrix.hpp"
@@ -73,21 +74,18 @@ std::uint64_t hold_windows(lockdep::ClassId cls) {
 // ---------------------------------------------------------------------
 
 TEST(LockdepMode, Names) {
-  using lockdep::mode_from_name;
-  EXPECT_EQ(mode_from_name("off"), LockdepMode::kOff);
-  EXPECT_EQ(mode_from_name("report"), LockdepMode::kReport);
-  EXPECT_EQ(mode_from_name("abort"), LockdepMode::kAbort);
-  EXPECT_FALSE(mode_from_name("bogus").has_value());
+  EXPECT_STREQ(lockdep::to_string(LockdepMode::kOff), "off");
   EXPECT_STREQ(lockdep::to_string(LockdepMode::kReport), "report");
 }
 
 TEST(LockdepMode, GuardRestoresOnScopeExit) {
-  const LockdepMode before = lockdep::lockdep_mode();
+  LockdepModeGuard on(LockdepMode::kReport);
   {
-    LockdepModeGuard pin(LockdepMode::kAbort);
-    EXPECT_EQ(lockdep::lockdep_mode(), LockdepMode::kAbort);
+    LockdepModeGuard pin(LockdepMode::kOff);
+    EXPECT_EQ(lockdep::lockdep_mode(), LockdepMode::kOff);
+    EXPECT_FALSE(lockdep::lockdep_enabled());
   }
-  EXPECT_EQ(lockdep::lockdep_mode(), before);
+  EXPECT_EQ(lockdep::lockdep_mode(), LockdepMode::kReport);
 }
 
 // ---------------------------------------------------------------------
@@ -585,7 +583,7 @@ TEST(Lockdep, HandoffStaleEntryFeedsNoBogusEdges) {
   // edges: without validation, a.acquire-handoff + b.acquire would
   // record a→b here, and the legitimate b-then-a sequence below would
   // be reported as an inversion this thread never created (a spurious
-  // abort under RESILOCK_LOCKDEP=abort).
+  // abort under RESILOCK_POLICY=lockdep=abort).
   LockdepModeGuard mode(LockdepMode::kReport);
   shield::ShieldPolicyGuard pol(ShieldPolicy::kSuppress);
   Shield<TatasLock> a;
@@ -663,10 +661,10 @@ TEST(Lockdep, ChurnOnOtherLocksKeepsHeldEntryValid) {
   EXPECT_TRUE(l1.release());
 }
 
-TEST(LockdepDeathTest, AbortModeDiesBeforeTheWedge) {
+TEST(LockdepDeathTest, AbortRuleDiesBeforeTheWedge) {
   EXPECT_DEATH(
       {
-        lockdep::set_lockdep_mode(LockdepMode::kAbort);
+        response::ResponseRulesGuard rules("lockdep=abort");
         shield::set_default_shield_policy(ShieldPolicy::kSuppress);
         Shield<TatasLock> a;
         Shield<TatasLock> b;
@@ -682,23 +680,27 @@ TEST(LockdepDeathTest, AbortModeDiesBeforeTheWedge) {
 }
 
 // ---------------------------------------------------------------------
-// Interposition: lockdep for free through TransparentMutex.
+// Interposition: lockdep for free through the preload's mutex.
 // ---------------------------------------------------------------------
 
-TEST(Lockdep, TransparentMutexGetsDetectionForFree) {
+TEST(Lockdep, InterposedMutexGetsDetectionForFree) {
   LockdepModeGuard mode(LockdepMode::kReport);
   shield::ShieldPolicyGuard pol(ShieldPolicy::kSuppress);
-  interpose::TransparentMutex a, b;  // env default: shield<MCS>
+  interpose::rl_mutex_t a, b;  // shield<MCS>, as the preload builds it
+  ASSERT_EQ(interpose::rl_mutex_init(&a, nullptr, 1), 0);
+  ASSERT_EQ(interpose::rl_mutex_init(&b, nullptr, 1), 0);
   const auto before = stats().inversions;
-  a.lock();
-  b.lock();
-  b.unlock();
-  a.unlock();
-  b.lock();
-  a.lock();
+  EXPECT_EQ(interpose::rl_mutex_lock(&a), 0);
+  EXPECT_EQ(interpose::rl_mutex_lock(&b), 0);
+  EXPECT_EQ(interpose::rl_mutex_unlock(&b), 0);
+  EXPECT_EQ(interpose::rl_mutex_unlock(&a), 0);
+  EXPECT_EQ(interpose::rl_mutex_lock(&b), 0);
+  EXPECT_EQ(interpose::rl_mutex_lock(&a), 0);
   EXPECT_EQ(stats().inversions, before + 1);
-  a.unlock();
-  b.unlock();
+  EXPECT_EQ(interpose::rl_mutex_unlock(&a), 0);
+  EXPECT_EQ(interpose::rl_mutex_unlock(&b), 0);
+  EXPECT_EQ(interpose::rl_mutex_destroy(&a), 0);
+  EXPECT_EQ(interpose::rl_mutex_destroy(&b), 0);
 }
 
 // ---------------------------------------------------------------------

@@ -635,7 +635,7 @@ TEST(LockstatEscaping, ClassLabelsEscapeInTraceJsonl) {
   char* buf = nullptr;
   std::size_t len = 0;
   std::FILE* f = open_memstream(&buf, &len);
-  lockdep::write_event_jsonl(f, e);
+  lockdep::JsonlWriter(f).write(e);
   std::fclose(f);
   std::string out(buf, len);
   std::free(buf);

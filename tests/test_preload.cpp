@@ -10,11 +10,13 @@
 // an in-process TSan test instead (test_preload_registry.cpp).
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #ifndef RESILOCK_PRELOAD_LIB
 #error "CMake must define RESILOCK_PRELOAD_LIB"
@@ -82,6 +84,7 @@ const std::string& child_bin(const std::string& name) {
   static Built cond_child = build("preload_cond_child");
   static Built manylocks = build("preload_manylocks");
   static Built rwlock_kinds = build("preload_rwlock_kinds");
+  static Built misuse_exit = build("preload_misuse_exit");
   static const Built none{"", false};
   const Built& b = name == "preload_child"         ? child
                    : name == "preload_static_init" ? static_init
@@ -89,6 +92,7 @@ const std::string& child_bin(const std::string& name) {
                    : name == "preload_cond_child"  ? cond_child
                    : name == "preload_manylocks"   ? manylocks
                    : name == "preload_rwlock_kinds" ? rwlock_kinds
+                   : name == "preload_misuse_exit" ? misuse_exit
                                                    : none;
   EXPECT_TRUE(b.ok) << "failed to compile child " << name;
   return b.path;
@@ -105,6 +109,95 @@ bool trace_line_has(const std::string& trace, const std::string& a,
     }
   }
   return false;
+}
+
+// Strict JSON syntax check of a whole file: one value and nothing after
+// it, so a JSONL stream or two documents run together fail.
+class JsonDocument {
+ public:
+  static bool valid(const std::string& text) {
+    JsonDocument d(text);
+    d.ws();
+    const bool ok = d.value();
+    d.ws();
+    return ok && d.i_ == text.size();
+  }
+
+ private:
+  explicit JsonDocument(const std::string& s) : s_(s) {}
+
+  bool eat(char c) {
+    if (i_ < s_.size() && s_[i_] == c) {
+      ++i_;
+      return true;
+    }
+    return false;
+  }
+  void ws() {
+    while (i_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[i_])))
+      ++i_;
+  }
+  bool value() {
+    if (i_ >= s_.size()) return false;
+    switch (s_[i_]) {
+      case '{': return members('}', true);
+      case '[': return members(']', false);
+      case '"': return string();
+      case 't': return word("true");
+      case 'f': return word("false");
+      case 'n': return word("null");
+      default: return number();
+    }
+  }
+  bool members(char close, bool object) {
+    ++i_;
+    ws();
+    if (eat(close)) return true;
+    do {
+      ws();
+      if (object && !(string() && (ws(), eat(':')))) return false;
+      ws();
+      if (!value()) return false;
+      ws();
+    } while (eat(','));
+    return eat(close);
+  }
+  bool string() {
+    if (!eat('"')) return false;
+    while (i_ < s_.size() && s_[i_] != '"') {
+      if (static_cast<unsigned char>(s_[i_]) < 0x20) return false;
+      i_ += s_[i_] == '\\' ? 2 : 1;
+    }
+    return eat('"');
+  }
+  bool word(const char* w) {
+    const std::string_view v(w);
+    if (s_.compare(i_, v.size(), v) != 0) return false;
+    i_ += v.size();
+    return true;
+  }
+  bool number() {
+    const std::size_t start = i_;
+    eat('-');
+    while (i_ < s_.size() &&
+           (std::isdigit(static_cast<unsigned char>(s_[i_])) ||
+            std::string_view(".eE+-").find(s_[i_]) != std::string_view::npos))
+      ++i_;
+    return i_ > start &&
+           std::isdigit(static_cast<unsigned char>(s_[i_ - 1]));
+  }
+
+  const std::string& s_;
+  std::size_t i_ = 0;
+};
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
 }
 
 // The children are unsanitized, so a sanitized preload needs the ASan
@@ -287,11 +380,72 @@ TEST(PreloadE2E, NativeCondvarKeepsPosixSemantics) {
 // the same condvar whichever way the thread's mutex calls are routed,
 // or the join never returns and the child's alarm() fires.
 TEST(PreloadE2E, ExitPathBroadcastFromPinnedThreadWakesWorkers) {
-  RunResult r = run("env " + preload_env() + " RESILOCK_TELEMETRY=1 " +
+  RunResult r = run("env " + preload_env() +
+                    " RESILOCK_TRACE_FILE=/dev/null " +
                     child_bin("preload_cond_child") + " exit");
   EXPECT_EQ(r.exit_code, 0) << r.out;
   EXPECT_NE(r.out.find("exit-pool-started\n"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("exit-pool-joined=4\n"), std::string::npos) << r.out;
+}
+
+// RESILOCK_TRACE_FILE has one writer, the collector, which the file
+// itself starts. A child whose 50 double unlocks are still queued when
+// it exits gets, whether or not lockstat also wants the collector, a
+// perfetto trace that is one JSON document holding all 50, and a JSONL
+// trace with exactly one schema line.
+TEST(PreloadTrace, PerfettoTraceIsOneDocumentWithTheMisuse) {
+  const std::string trace =
+      ::testing::TempDir() + "preload_trace_perfetto.json";
+  for (const std::string extra : {"RESILOCK_LOCKSTAT=1 ", ""}) {
+    std::remove(trace.c_str());
+    RunResult r = run("env " + preload_env() + " " + extra +
+                      "RESILOCK_TRACE_FORMAT=perfetto RESILOCK_TRACE_FILE=" +
+                      trace + " " + child_bin("preload_misuse_exit"));
+    EXPECT_EQ(r.exit_code, 0) << extra << r.out;
+    EXPECT_NE(r.out.find("double-unlock-eperm=50\n"), std::string::npos)
+        << extra << r.out;
+    const std::string doc = slurp(trace);
+    EXPECT_TRUE(JsonDocument::valid(doc)) << extra << doc;
+    EXPECT_EQ(doc.rfind("{\"traceEvents\":[", 0), 0u) << extra << doc;
+    const std::string instant = "\"name\":\"double-unlock\",\"ph\":\"i\"";
+    EXPECT_EQ(count_of(doc, instant), 50u) << extra << doc;
+  }
+  std::remove(trace.c_str());
+}
+
+TEST(PreloadTrace, JsonlTraceHasOneSchemaLine) {
+  const std::string trace =
+      ::testing::TempDir() + "preload_trace_schema.jsonl";
+  for (const std::string extra : {"RESILOCK_LOCKSTAT=1 ", ""}) {
+    std::remove(trace.c_str());
+    RunResult r = run("env " + preload_env() + " " + extra +
+                      "RESILOCK_TRACE_FILE=" + trace + " " +
+                      child_bin("preload_misuse_exit"));
+    EXPECT_EQ(r.exit_code, 0) << extra << r.out;
+    const std::string t = slurp(trace);
+    EXPECT_EQ(count_of(t, "\"schema\":"), 1u) << extra << t;
+    EXPECT_EQ(t.rfind("{\"schema\":\"resilock-trace\"", 0), 0u)
+        << extra << t;
+    EXPECT_EQ(count_of(t, "\"kind\":\"double-unlock\""), 50u)
+        << extra << t;
+  }
+  std::remove(trace.c_str());
+}
+
+// A metrics file alone is a job for the collector: its final dump at
+// exit writes the file.
+TEST(PreloadTrace, MetricsFileAloneIsWritten) {
+  const std::string metrics =
+      ::testing::TempDir() + "preload_metrics.json";
+  std::remove(metrics.c_str());
+  RunResult r = run("env " + preload_env() +
+                    " RESILOCK_METRICS_FORMAT=json RESILOCK_METRICS_FILE=" +
+                    metrics + " " + child_bin("preload_misuse_exit"));
+  EXPECT_EQ(r.exit_code, 0) << r.out;
+  const std::string m = slurp(metrics);
+  EXPECT_TRUE(JsonDocument::valid(m)) << m;
+  EXPECT_NE(m.find("\"trace.events_emitted\""), std::string::npos) << m;
+  std::remove(metrics.c_str());
 }
 
 // A lock costs bytes, not kilobytes: 100k mutexes, or 20k rwlocks,

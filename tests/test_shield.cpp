@@ -346,12 +346,12 @@ TEST(ShieldPolicyEngine, PerInstanceOverrideAtRuntime) {
 }
 
 TEST(ShieldPolicyEngine, PolicyNames) {
-  using shield::policy_from_name;
-  EXPECT_EQ(policy_from_name("suppress"), ShieldPolicy::kSuppress);
-  EXPECT_EQ(policy_from_name("abort"), ShieldPolicy::kAbort);
-  EXPECT_EQ(policy_from_name("log"), ShieldPolicy::kLogAndSuppress);
-  EXPECT_EQ(policy_from_name("passthrough"), ShieldPolicy::kPassThrough);
-  EXPECT_FALSE(policy_from_name("bogus").has_value());
+  EXPECT_STREQ(shield::to_string(ShieldPolicy::kSuppress), "suppress");
+  EXPECT_STREQ(shield::to_string(ShieldPolicy::kAbort), "abort");
+  EXPECT_STREQ(shield::to_string(ShieldPolicy::kLogAndSuppress), "log");
+  EXPECT_STREQ(shield::to_string(ShieldPolicy::kPassThrough),
+               "passthrough");
+  EXPECT_EQ(shield::default_shield_policy(), ShieldPolicy::kSuppress);
 }
 
 // ---------------------------------------------------------------------

@@ -323,19 +323,45 @@ TEST(Collector, RestartsWithFreshSinksAndAutostartRespectsEnv) {
   clear_trace();
   Collector& c = Collector::instance();
   ASSERT_FALSE(c.running());
-  // Autostart is a no-op without the env opt-in.
-  unsetenv("RESILOCK_TELEMETRY");
+  // No file to write and no lockstat to serve: no collector.
+  unsetenv("RESILOCK_TRACE_FILE");
+  unsetenv("RESILOCK_METRICS_FILE");
+  unsetenv("RESILOCK_LOCKSTAT");
   telemetry::autostart_from_env();
   EXPECT_FALSE(c.running());
-  // With it, the collector comes up (no trace file -> no sinks, which
-  // leaves the rings to the exporters) and stop() is clean.
-  setenv("RESILOCK_TELEMETRY", "1", 1);
-  unsetenv("RESILOCK_TRACE_FILE");
+  // A trace file is a job: the collector comes up with the file's sink
+  // and stop() closes it.
+  const std::string path =
+      ::testing::TempDir() + "resilock_autostart.jsonl";
+  std::remove(path.c_str());
+  setenv("RESILOCK_TRACE_FILE", path.c_str(), 1);
   telemetry::autostart_from_env();
   EXPECT_TRUE(c.running());
+  int marker = 0;
+  TraceBuffer::instance().emit(EventKind::kDoubleUnlock, &marker);
   c.stop();
   EXPECT_FALSE(c.running());
-  unsetenv("RESILOCK_TELEMETRY");
+  // A restart builds a fresh sink from the environment; the file keeps
+  // its one schema line and gains the second event.
+  telemetry::autostart_from_env();
+  EXPECT_TRUE(c.running());
+  TraceBuffer::instance().emit(EventKind::kDoubleUnlock, &marker);
+  c.stop();
+  unsetenv("RESILOCK_TRACE_FILE");
+  const std::string trace = slurp(path);
+  std::size_t schemas = 0, events = 0;
+  for (std::size_t at = 0;
+       (at = trace.find("\"schema\"", at)) != std::string::npos; ++at) {
+    ++schemas;
+  }
+  for (std::size_t at = 0;
+       (at = trace.find("\"double-unlock\"", at)) != std::string::npos;
+       ++at) {
+    ++events;
+  }
+  EXPECT_EQ(schemas, 1u) << trace;
+  EXPECT_EQ(events, 2u) << trace;
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------

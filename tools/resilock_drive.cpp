@@ -8,8 +8,8 @@
 //   bare       no preload — glibc locks, the baseline
 //   shielded   LD_PRELOAD with the minimal stack: shield on, lockdep
 //              off, no telemetry (the "protection overhead" column)
-//   fullstack  LD_PRELOAD with everything: lockdep report mode,
-//              lockstat, parking, telemetry collector
+//   fullstack  LD_PRELOAD with everything: lockdep, lockstat, parking,
+//              and the telemetry collector lockstat starts
 //
 // plus a misuse row per workload (bare vs shielded at a fixed injection
 // rate) showing "corrupt" vs "ok" — the paper's Table 1 outcome
@@ -142,13 +142,10 @@ std::vector<EnvVar> env_for(Mode m) {
       // threads outnumber cores (CI runners).
       return {{"LD_PRELOAD", RESILOCK_PRELOAD_LIB},
               {"RESILOCK_LOCKDEP", "off"},
-              {"RESILOCK_TELEMETRY", "0"},
               {"RESILOCK_LOCKSTAT", "0"},
               {"RESILOCK_PARK", "1"}};
     case Mode::kFullstack:
       return {{"LD_PRELOAD", RESILOCK_PRELOAD_LIB},
-              {"RESILOCK_LOCKDEP", "report"},
-              {"RESILOCK_TELEMETRY", "1"},
               {"RESILOCK_LOCKSTAT", "1"},
               {"RESILOCK_PARK", "1"}};
   }
