@@ -25,13 +25,12 @@ constexpr const char* to_string(Resilience r) noexcept {
 }
 
 namespace detail {
-inline std::atomic<bool>& misuse_check_flag() {
-  // Defaults on; RESILOCK_DISABLE_CHECK=1 turns every resilient check
-  // off at process start.
-  static std::atomic<bool> flag{
-      !platform::env_flag("RESILOCK_DISABLE_CHECK", false)};
-  return flag;
+// Defaults on; RESILOCK_DISABLE_CHECK=1 turns every resilient check off
+// at process start.
+inline bool seed_misuse_checks() {
+  return !platform::env_flag("RESILOCK_DISABLE_CHECK", false);
 }
+inline constinit platform::EnvSwitch misuse_checks{seed_misuse_checks};
 }  // namespace detail
 
 // The paper's §5 escape hatch: "By design some locks may require one
@@ -40,12 +39,12 @@ inline std::atomic<bool>& misuse_check_flag() {
 // environment variable to disable the check in all our proposed
 // remedies." With checks disabled a resilient lock releases exactly like
 // the original protocol — including the original's misuse consequences.
-inline bool misuse_checks_enabled() noexcept {
-  return detail::misuse_check_flag().load(std::memory_order_relaxed);
+[[gnu::always_inline]] inline bool misuse_checks_enabled() noexcept {
+  return detail::misuse_checks.on();
 }
 
 inline void set_misuse_checks(bool enabled) noexcept {
-  detail::misuse_check_flag().store(enabled, std::memory_order_relaxed);
+  detail::misuse_checks.set(enabled);
 }
 
 // RAII toggle for the process-global check flag. set_misuse_checks() is

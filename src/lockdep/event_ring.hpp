@@ -175,21 +175,20 @@ static_assert(sizeof(TraceEvent) == platform::kCacheLineSize);
 // ---------------------------------------------------------------------
 
 namespace detail {
-inline std::atomic<bool>& span_flag() {
-  static std::atomic<bool> f{
-      platform::env_flag("RESILOCK_TELEMETRY_SPANS", false)};
-  return f;
+inline bool seed_span_tracing() {
+  return platform::env_flag("RESILOCK_TELEMETRY_SPANS", false);
 }
+inline constinit platform::EnvSwitch span_tracing{seed_span_tracing};
 }  // namespace detail
 
-inline bool span_tracing_enabled() noexcept {
-  return detail::span_flag().load(std::memory_order_relaxed);
+[[gnu::always_inline]] inline bool span_tracing_enabled() noexcept {
+  return detail::span_tracing.on();
 }
 
 // Like set_lockstat: calibrates the fast clock before any span is timed.
 inline void set_span_tracing(bool on) noexcept {
   if (on) runtime::calibrate_tsc();
-  detail::span_flag().store(on, std::memory_order_relaxed);
+  detail::span_tracing.set(on);
 }
 
 // RAII pin, mirroring LockdepModeGuard / MisuseCheckGuard.

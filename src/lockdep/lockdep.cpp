@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 
@@ -102,6 +103,62 @@ Graph::Graph()
       chunk_mask_(chunk_slots_ - 1),
       shard_count_(env_pow2("RESILOCK_LOCKDEP_SHARDS", 8, 1, kMaxShards)),
       shard_mask_(shard_count_ - 1) {}
+
+Graph& Graph::create() {
+  static Graph* const g = [] {
+    Graph* fresh = new Graph();
+    instance_.store(fresh, std::memory_order_release);
+    return fresh;
+  }();
+  return *g;
+}
+
+// ---------------------------------------------------------------------
+// Chain-key cache.
+// ---------------------------------------------------------------------
+
+void Graph::chain_walked(std::uint64_t key, bool complete) {
+  const std::uint64_t walk =
+      chain_walks_.fetch_add(1, std::memory_order_relaxed);
+  if (!complete) return;
+  std::atomic<std::uint64_t>* keys =
+      chain_keys_.load(std::memory_order_acquire);
+  if (keys == nullptr) {
+    // Zeroed atomics: calloc'd pages cost nothing until touched. The
+    // loser of a racing first insert frees its copy.
+    auto* fresh = static_cast<std::atomic<std::uint64_t>*>(
+        std::calloc(kChainSlots, sizeof(std::atomic<std::uint64_t>)));
+    if (fresh == nullptr) return;
+    if (chain_keys_.compare_exchange_strong(keys, fresh,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
+      keys = fresh;
+    } else {
+      std::free(fresh);
+    }
+  }
+  std::atomic<std::uint64_t>* bucket =
+      keys + (key & (kChainSlots - 1) & ~std::uint64_t{kChainBucket - 1});
+  for (std::uint32_t i = 0; i < kChainBucket; ++i) {
+    std::uint64_t k = bucket[i].load(std::memory_order_relaxed);
+    if (k == 0 && bucket[i].compare_exchange_strong(
+                      k, key, std::memory_order_release,
+                      std::memory_order_relaxed)) {
+      chains_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    if (k == key) return;  // a racing walk of the same chain won
+  }
+  // Full bucket: replace one key, picked by the walk count. Any key may
+  // go — a key only ever stands for a proven chain, so losing one costs
+  // a walk, never a missed edge — and slots never become empty again,
+  // so lookups may still stop at the first empty one. Refusing instead
+  // would leave a process that keeps retiring nested classes with a
+  // set full of dead-generation keys and every new chain walking.
+  bucket[walk & (kChainBucket - 1)].store(key, std::memory_order_release);
+  chains_.fetch_add(1, std::memory_order_relaxed);
+  chain_set_full_.fetch_add(1, std::memory_order_relaxed);
+}
 
 // ---------------------------------------------------------------------
 // Epoch pins.
@@ -340,6 +397,7 @@ void Graph::retire_class(ClassId id) {
   // concurrently, and the pin keeps them out of the reclaimer's hands.
   pin_epoch();
   InEdgeNode* in = s->in_edges.exchange(nullptr, std::memory_order_seq_cst);
+  const bool had_in_edges = in != nullptr;
   while (in != nullptr) {
     InEdgeNode* next = in->next;
     clear_in_edge(*in, slot);
@@ -348,6 +406,13 @@ void Graph::retire_class(ClassId id) {
   }
   Row* row = s->row.exchange(nullptr, std::memory_order_seq_cst);
   unpin_epoch();
+  // Edges went: no cached chain may name them. Moving the generation
+  // after the clears means a walk that reads the new generation also
+  // sees the cleared bits, so it cannot cache a chain over a dead edge
+  // under a live key. A class that never nested leaves the cache be.
+  if (had_in_edges || row != nullptr) {
+    chain_gen_.fetch_add(1, std::memory_order_seq_cst);
+  }
   // Park the slot (and detached row) in limbo. The epoch advance is
   // made under the limbo lock so the list stays sorted by epoch; a
   // traversal pinned at or before this epoch may still be walking the
@@ -474,14 +539,14 @@ ClassId Graph::find_class(std::string_view label) const {
 // Edge claims and cycle detection.
 // ---------------------------------------------------------------------
 
-void Graph::claim_edge(ClassId from, ClassId to, const void* lock,
+bool Graph::claim_edge(ClassId from, ClassId to, const void* lock,
                        std::uint32_t waiters, bool owned,
                        AccessMode from_mode, AccessMode to_mode) {
   const std::uint32_t fs = class_slot(from);
   const std::uint32_t ts = class_slot(to);
   ClassSlot* fsl = slot_ptr(fs);
   ClassSlot* tsl = slot_ptr(ts);
-  if (fsl == nullptr || tsl == nullptr) return;
+  if (fsl == nullptr || tsl == nullptr) return false;
   // Generation gate (seq_cst, pairing with retire's meta CAS): a stale
   // id — its class retired since the caller read it — must not write
   // into the slot's next tenant's bitmaps. Our epoch pin (taken by
@@ -492,7 +557,7 @@ void Graph::claim_edge(ClassId from, ClassId to, const void* lock,
   const std::uint32_t tmeta = tsl->meta.load(std::memory_order_seq_cst);
   if ((fmeta & kMetaLive) == 0 || meta_gen(fmeta) != class_gen(from) ||
       (tmeta & kMetaLive) == 0 || meta_gen(tmeta) != class_gen(to)) {
-    return;
+    return false;
   }
   Row* row = fsl->row.load(std::memory_order_acquire);
   if (row == nullptr) {
@@ -525,7 +590,7 @@ void Graph::claim_edge(ClassId from, ClassId to, const void* lock,
   // seq_cst so two threads inserting the two halves of a cycle cannot
   // both miss each other in the DFS below (store-buffering).
   if (seg->bits[w].fetch_or(mask, std::memory_order_seq_cst) & mask) {
-    return;
+    return true;
   }
   // Mode tags for this first occurrence; readers of the tags only
   // consult them for edges whose bit they have already observed.
@@ -546,6 +611,7 @@ void Graph::claim_edge(ClassId from, ClassId to, const void* lock,
       std::memory_order_relaxed));
   edges_.fetch_add(1, std::memory_order_relaxed);
   check_cycle(fs, ts, lock, waiters, owned);
+  return true;
 }
 
 void Graph::check_cycle(std::uint32_t from_slot, std::uint32_t to_slot,
@@ -743,6 +809,9 @@ LockdepStats Graph::stats() const {
   s.limbo = limbo_count_.load(std::memory_order_relaxed);
   s.reclaimed = reclaimed_.load(std::memory_order_relaxed);
   s.shard_steals = shard_steals_.load(std::memory_order_relaxed);
+  s.chains = chains_.load(std::memory_order_relaxed);
+  s.chain_walks = chain_walks_.load(std::memory_order_relaxed);
+  s.chain_set_full = chain_set_full_.load(std::memory_order_relaxed);
   return s;
 }
 

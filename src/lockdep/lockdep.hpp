@@ -52,6 +52,18 @@
 //     edge, and a stale one loses only its lockdep part. The hot path
 //     writes nothing to the shared table: the epoch moves only on
 //     those misuse and hand-off paths;
+//   * a chain-key cache in front of the edge walk, after Linux
+//     lockdep's lock-chain hash: a nested acquire hashes the (class,
+//     mode) of its held entries and of the lock it acquires, plus a
+//     chain generation, into one 64-bit key and probes one cache line
+//     of a fixed lock-free key set. A hit — an order chain already
+//     proven — returns with no epoch pin, no held-entry validation and
+//     no edge-bit walk; a miss walks and caches the key only when every
+//     edge it names is then in the graph (no stale entry, no read/read
+//     pair, no class retired under it). retire_class moves the
+//     generation whenever it removes edges, so a key in the set always
+//     means "all its edges are in the graph now". Combinator climbs
+//     (a skip set) and spilled held records are not cached;
 //   * verdicts from the response engine's RESILOCK_POLICY rules
 //     ("lockdep=abort"), with log as the fallback; RESILOCK_LOCKDEP=off
 //     is the tracking switch, runtime-settable like the shield policy.
@@ -150,29 +162,25 @@ constexpr const char* to_string(LockdepMode m) noexcept {
 }
 
 namespace detail {
-inline std::atomic<LockdepMode>& mode_flag() {
-  // RESILOCK_LOCKDEP=off is the tracking switch; any other value, or
-  // none, leaves tracking on.
-  static std::atomic<LockdepMode> flag{[] {
-    const char* v = platform::env_raw("RESILOCK_LOCKDEP");
-    return v != nullptr && std::string_view(v) == "off"
-               ? LockdepMode::kOff
-               : LockdepMode::kReport;
-  }()};
-  return flag;
+// RESILOCK_LOCKDEP=off is the tracking switch; any other value, or none,
+// leaves tracking on.
+inline bool seed_tracking() {
+  const char* v = platform::env_raw("RESILOCK_LOCKDEP");
+  return v == nullptr || std::string_view(v) != "off";
 }
+inline constinit platform::EnvSwitch tracking{seed_tracking};
 }  // namespace detail
 
-inline LockdepMode lockdep_mode() noexcept {
-  return detail::mode_flag().load(std::memory_order_relaxed);
+[[gnu::always_inline]] inline LockdepMode lockdep_mode() noexcept {
+  return detail::tracking.on() ? LockdepMode::kReport : LockdepMode::kOff;
 }
 
 inline void set_lockdep_mode(LockdepMode m) noexcept {
-  detail::mode_flag().store(m, std::memory_order_relaxed);
+  detail::tracking.set(m != LockdepMode::kOff);
 }
 
-inline bool lockdep_enabled() noexcept {
-  return lockdep_mode() != LockdepMode::kOff;
+[[gnu::always_inline]] inline bool lockdep_enabled() noexcept {
+  return detail::tracking.on();
 }
 
 // RAII pin, mirroring ShieldPolicyGuard / MisuseCheckGuard.
@@ -207,8 +215,18 @@ struct LockdepStats {
   std::uint64_t limbo = 0;               // retired ids awaiting grace
   std::uint64_t reclaimed = 0;           // ids recycled after grace
   std::uint64_t shard_steals = 0;        // cross-shard freelist steals
+  std::uint64_t chains = 0;              // chain keys cached
+  std::uint64_t chain_walks = 0;         // cacheable attempts that walked
+  std::uint64_t chain_set_full = 0;      // chain keys that replaced one
 
   std::uint64_t reports() const { return inversions + cycles; }
+};
+
+// The contention signal a new edge's report carries: the acquired
+// lock's live waiters and whether another thread holds it.
+struct EdgeStake {
+  std::uint32_t waiters = 0;
+  bool owned = false;
 };
 
 // ---------------------------------------------------------------------
@@ -217,11 +235,13 @@ struct LockdepStats {
 
 class Graph {
  public:
-  static Graph& instance() {
-    // Deliberately leaked: thread-exit hooks (reader-slot leases) and
-    // detached telemetry threads may touch the graph during shutdown.
-    static Graph* g = new Graph();
-    return *g;
+  // One load and a branch, inline; the first call constructs the graph
+  // out of line. Deliberately leaked: thread-exit hooks (reader-slot
+  // leases) and detached telemetry threads may touch the graph during
+  // shutdown.
+  [[gnu::always_inline]] static Graph& instance() {
+    Graph* g = instance_.load(std::memory_order_acquire);
+    return __builtin_expect(g != nullptr, 1) ? *g : create();
   }
 
   // Allocates a class id (recycling retired ones first — own shard,
@@ -264,6 +284,42 @@ class Graph {
            (s->meta.load(std::memory_order_relaxed) & kMetaFlagged) != 0;
   }
 
+  // ------------------------------------------------------------------
+  // Chain-key cache (after Linux lockdep's lock-chain hash): a set of
+  // 64-bit keys, each naming one (held classes, acquired class) chain
+  // whose every order edge is in the graph. A key is inserted only by
+  // an edge walk that found or recorded all of them; retire_class
+  // moves the generation that seeds every key whenever it removes
+  // edges, so a cached chain never outlives one of its edges.
+  // ------------------------------------------------------------------
+
+  // Seeds every chain key (detail::chain_key).
+  std::uint64_t chain_generation() const {
+    return chain_gen_.load(std::memory_order_acquire);
+  }
+
+  // True iff `key` is cached: one bucket, one cache line, no pin.
+  [[gnu::always_inline]] bool chain_cached(std::uint64_t key) const {
+    const std::atomic<std::uint64_t>* keys =
+        chain_keys_.load(std::memory_order_acquire);
+    if (keys == nullptr) return false;
+    const std::atomic<std::uint64_t>* bucket =
+        keys + (key & (kChainSlots - 1) & ~std::uint64_t{kChainBucket - 1});
+    for (std::uint32_t i = 0; i < kChainBucket; ++i) {
+      const std::uint64_t k = bucket[i].load(std::memory_order_acquire);
+      if (k == key) return true;
+      if (k == 0) return false;  // slots fill in order and never empty
+    }
+    return false;
+  }
+
+  // A cacheable attempt missed `key` and walked (stats().chain_walks).
+  // `complete`: the walk left every edge of the chain in the graph, so
+  // the key is cached (stats().chains), replacing a key of its bucket
+  // when the bucket is full (stats().chain_set_full). The set is
+  // allocated zeroed at the first insert and never freed.
+  void chain_walked(std::uint64_t key, bool complete);
+
   // Hot path: true iff from→to is already recorded (a chain of
   // wait-free loads: chunk → slot → row → segment → word).
   bool has_edge(ClassId from, ClassId to) const {
@@ -285,18 +341,21 @@ class Graph {
   // contention signal the engine keys cycle-with-waiters escalation
   // off. A read/read pair adds NO edge (counted in rr_skipped): readers
   // never block readers, so the dependency cannot wedge — which leaves
-  // every stored edge write-involved by construction.
-  void ensure_edge(ClassId from, ClassId to, const void* lock,
+  // every stored edge write-involved by construction. True iff the
+  // pair needs no edge beyond what the graph now holds: the edge is
+  // recorded, or both ends share a slot; false for a read/read pair,
+  // an untracked end or a class retired under the caller.
+  bool ensure_edge(ClassId from, ClassId to, const void* lock,
                    std::uint32_t waiters = 0, bool owned = false,
                    AccessMode from_mode = AccessMode::kExclusive,
                    AccessMode to_mode = AccessMode::kExclusive) {
-    if (!class_tracked(from) || !class_tracked(to)) return;
+    if (!class_tracked(from) || !class_tracked(to)) return false;
     const std::uint32_t fs = class_slot(from);
     const std::uint32_t ts = class_slot(to);
-    if (fs == ts) return;
+    if (fs == ts) return true;
     if (from_mode == AccessMode::kRead && to_mode == AccessMode::kRead) {
       rr_skipped_.fetch_add(1, std::memory_order_relaxed);
-      return;
+      return false;
     }
     // The pin covers every row/segment dereference below (and the DFS
     // inside claim_edge): reclamation frees a detached row only after
@@ -308,10 +367,10 @@ class Graph {
       if ((seg->bits[(ts & kSegMask) >> 6].load(
                std::memory_order_acquire) >>
            (ts & 63)) & 1u) {
-        return;  // hot path: the order is already known
+        return true;  // the order is already known
       }
     }
-    claim_edge(from, to, lock, waiters, owned, from_mode, to_mode);
+    return claim_edge(from, to, lock, waiters, owned, from_mode, to_mode);
   }
 
   // First-occurrence mode tags of a recorded edge: whether the source
@@ -429,6 +488,14 @@ class Graph {
   Graph(const Graph&) = delete;
   Graph& operator=(const Graph&) = delete;
 
+  [[gnu::cold, gnu::noinline]] static Graph& create();
+  static inline constinit std::atomic<Graph*> instance_{nullptr};
+
+  // Chain-key set geometry: 16K keys (128 KiB, mapped on first touch),
+  // probed one 8-key bucket — one cache line — at a time.
+  static constexpr std::uint64_t kChainSlots = 1u << 14;
+  static constexpr std::uint32_t kChainBucket = 8;
+
   // ------------------------------------------------------------------
   // Table layout.
   // ------------------------------------------------------------------
@@ -533,7 +600,9 @@ class Graph {
   // First-occurrence claim (allocates row/segment as needed, validates
   // both generations, records the in-edge, then runs the DFS). Called
   // with the caller's epoch pin held.
-  void claim_edge(ClassId from, ClassId to, const void* lock,
+  // True iff the edge's bit is set on return (whoever set it); false
+  // when either id went stale.
+  bool claim_edge(ClassId from, ClassId to, const void* lock,
                   std::uint32_t waiters, bool owned, AccessMode from_mode,
                   AccessMode to_mode);
   void check_cycle(std::uint32_t from_slot, std::uint32_t to_slot,
@@ -583,6 +652,12 @@ class Graph {
   std::atomic<std::uint32_t> capacity_limit_{kMaxClassSlots};
   std::mutex grow_mutex_;
 
+  // The chain-key set and its generation: read by every nested acquire,
+  // written once at allocation and by retirements that remove edges,
+  // so they get a line of their own (Shard is line-aligned too).
+  alignas(64) std::atomic<std::atomic<std::uint64_t>*> chain_keys_{nullptr};
+  std::atomic<std::uint64_t> chain_gen_{1};
+
   Shard shards_[kMaxShards];
   std::atomic<std::uint32_t> reclaim_cursor_{0};
 
@@ -615,6 +690,9 @@ class Graph {
   std::atomic<std::uint64_t> limbo_count_{0};
   std::atomic<std::uint64_t> reclaimed_{0};
   std::atomic<std::uint64_t> shard_steals_{0};
+  std::atomic<std::uint64_t> chains_{0};
+  std::atomic<std::uint64_t> chain_walks_{0};
+  std::atomic<std::uint64_t> chain_set_full_{0};
 };
 
 // RAII capacity clamp for tests (restores the previous limit).
@@ -645,7 +723,9 @@ namespace detail {
 // The edge walk of one acquire attempt on `lock` (class `cls`), as the
 // held record's prune() visitor: one order edge per held entry. Its
 // call is forced inline (prune is too), so the walk compiles into one
-// loop — it runs on every nested acquire.
+// loop. `complete` ends true iff every entry's edge is in the graph
+// now: no entry was stale, no read/read pair was skipped, no class
+// went stale under the walk — the condition for caching its chain.
 struct EdgeWalk {
   Graph& g;
   const void* lock;
@@ -655,6 +735,7 @@ struct EdgeWalk {
   AccessMode mode;
   const ClassId* skip_src;
   std::size_t skip_n;
+  bool complete = true;
   // One pin for the rest of the walk, taken at the first entry that
   // needs the graph: every validity probe and edge claim reads
   // epoch-protected table state, and the nested pins inside
@@ -695,37 +776,104 @@ struct EdgeWalk {
             : (g.instance_of(held.cls) != held_lock ||
                g.handoff_epoch(held.cls) != held.epoch)) {
       held.ordered = false;
+      complete = false;
       return;
     }
-    g.ensure_edge(held.cls, cls, lock, waiters, owned, held.mode, mode);
+    complete &=
+        g.ensure_edge(held.cls, cls, lock, waiters, owned, held.mode, mode);
   }
 };
+
+// One multiply-xorshift round: a bijection that spreads a small input
+// over all 64 bits.
+inline std::uint64_t chain_mix(std::uint64_t x) {
+  x *= 0x9E3779B97F4A7C15ull;
+  return x ^ (x >> 29);
+}
+
+// Folds one (class, mode) into a chain key. Order-dependent, and for a
+// fixed step a bijection of `h`, so two distinct chains share a key
+// only by chance (about 2^-64 a pair: the risk Linux lockdep's chain
+// hash takes too) — provided `h` is already spread over 64 bits, which
+// is why chain_key mixes its seed first. A raw generation XORed with a
+// raw first entry would collide by construction: holding class 10 at
+// generation 1 and class 11 at generation 5 would share every key.
+inline std::uint64_t chain_step(std::uint64_t h, ClassId cls,
+                                AccessMode mode) {
+  return chain_mix(h ^ ((std::uint64_t{cls} << 2) |
+                        static_cast<std::uint64_t>(mode)));
+}
+
+// The key of "the ordered entries of `tbl`'s fast slots, in slot order,
+// held while acquiring `cls` in `mode`", seeded with the graph's chain
+// generation. Never 0 (the set's empty slot).
+[[gnu::always_inline]] inline std::uint64_t chain_key(
+    const shield::HeldLockTable& tbl, ClassId cls, AccessMode mode,
+    std::uint64_t generation) {
+  std::uint64_t h = chain_mix(generation);
+  tbl.each_fast([&](const Hold& held) {
+    if (held.ordered) h = chain_step(h, held.cls, held.mode);
+  });
+  h = chain_step(h, cls, mode);
+  return h != 0 ? h : 1;
+}
 }  // namespace detail
 
 // Before a BLOCKING acquire attempt: records one order edge per held
 // lock and runs the verdict on any new edge — i.e. an imminent
 // inversion is flagged before the caller can wedge. Callers gate on
-// lockdep_enabled(). `waiters` (the acquired lock's live waiter count)
-// and `owned` (held by another thread right now) are forwarded to the
-// response engine with any report. `mode` is the AccessMode of THIS
-// acquisition; each held entry contributes its own recorded mode, and
-// read/read pairs are edge-free (Graph::ensure_edge). `skip_src` /
-// `skip_n` suppress edges sourced at the listed classes: combinators
-// whose internal levels nest by construction (cohort local -> global,
-// the HMCS/HCLH child -> parent climb) pass their own level classes
-// here so their internal protocol order never pollutes the graph — an
+// lockdep_enabled(). `stake()` returns the EdgeStake (the acquired
+// lock's live waiters, and whether another thread holds it) forwarded
+// to the response engine with a report; it is called once, and only
+// when the call walks. `mode` is the AccessMode of THIS acquisition;
+// each held entry contributes its own recorded mode, and read/read
+// pairs are edge-free (Graph::ensure_edge). `skip_src` / `skip_n`
+// suppress edges sourced at the listed classes: combinators whose
+// internal levels nest by construction (cohort local -> global, the
+// HMCS/HCLH child -> parent climb) pass their own level classes here
+// so their internal protocol order never pollutes the graph — an
 // arbitrary-depth hierarchy holds EVERY level below the one it is
 // climbing into, so the skip set must cover the whole tree, not one
 // class.
+//
+// The hot path is the chain-key cache: a chain this process has
+// already proven — every edge it names is in the graph — returns after
+// one key hash over the held record and one bucket probe, with no
+// epoch pin, no held-entry validation and no stake. A miss reads the
+// stake once (the shield's reads lines other threads write), runs the
+// edge walk and caches the chain if the walk left it complete. A call
+// with a skip set, or a record spilled past its fast slots, always
+// walks.
+template <typename StakeFn>
+inline void on_acquire_attempt(const void* lock, ClassId cls,
+                               AccessMode mode, StakeFn&& stake,
+                               const ClassId* skip_src = nullptr,
+                               std::size_t skip_n = 0) {
+  if (!class_tracked(cls)) return;
+  shield::HeldLockTable& tbl = shield::HeldLockTable::mine();
+  if (tbl.held_count() == 0) return;  // single-lock hot path: no edges
+  Graph& g = Graph::instance();
+  const bool cacheable = skip_n == 0 && tbl.fast_path_only();
+  std::uint64_t key = 0;
+  if (cacheable) {
+    key = detail::chain_key(tbl, cls, mode, g.chain_generation());
+    if (g.chain_cached(key)) return;
+  }
+  const EdgeStake st = stake();
+  detail::EdgeWalk walk{g,    lock,     cls,    st.waiters, st.owned,
+                        mode, skip_src, skip_n, true,       {}};
+  tbl.prune(walk);
+  if (cacheable) g.chain_walked(key, walk.complete);
+}
+
+// With a stake known up front (the combinators').
 inline void on_acquire_attempt(const void* lock, ClassId cls,
                                std::uint32_t waiters, bool owned,
                                AccessMode mode, const ClassId* skip_src,
                                std::size_t skip_n) {
-  if (!class_tracked(cls)) return;
-  shield::HeldLockTable& tbl = shield::HeldLockTable::mine();
-  if (tbl.held_count() == 0) return;  // single-lock hot path: no edges
-  tbl.prune(detail::EdgeWalk{Graph::instance(), lock, cls, waiters, owned,
-                             mode, skip_src, skip_n, {}});
+  on_acquire_attempt(
+      lock, cls, mode, [&] { return EdgeStake{waiters, owned}; }, skip_src,
+      skip_n);
 }
 
 // Single-skip convenience (the two-level cohort shape).

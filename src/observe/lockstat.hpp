@@ -86,22 +86,21 @@ namespace resilock::observe {
 // ---------------------------------------------------------------------
 
 namespace detail {
-inline std::atomic<bool>& lockstat_flag() {
-  static std::atomic<bool> f{
-      platform::env_flag("RESILOCK_LOCKSTAT", false)};
-  return f;
+inline bool seed_lockstat() {
+  return platform::env_flag("RESILOCK_LOCKSTAT", false);
 }
+inline constinit platform::EnvSwitch lockstat{seed_lockstat};
 }  // namespace detail
 
-inline bool lockstat_enabled() noexcept {
-  return detail::lockstat_flag().load(std::memory_order_relaxed);
+[[gnu::always_inline]] inline bool lockstat_enabled() noexcept {
+  return detail::lockstat.on();
 }
 
 // Turning lockstat on calibrates the fast clock first, here on the
 // caller's cold path rather than inside the first timed hold.
 inline void set_lockstat(bool on) noexcept {
   if (on) runtime::calibrate_tsc();
-  detail::lockstat_flag().store(on, std::memory_order_relaxed);
+  detail::lockstat.set(on);
 }
 
 class LockstatGuard {

@@ -10,9 +10,12 @@
 //   * env_u32    — positive integer; malformed or zero -> fallback;
 //   * env_double — positive double; malformed or non-positive -> fallback;
 //   * env_flag   — boolean: 0/false/off/no and 1/true/on/yes; anything
-//                  else (including unset) -> fallback.
+//                  else (including unset) -> fallback;
+//   * EnvSwitch  — a runtime-settable on/off gate seeded from the
+//                  environment at its first read.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <string_view>
@@ -50,5 +53,47 @@ inline bool env_flag(const char* name, bool fallback) {
   if (s == "1" || s == "true" || s == "on" || s == "yes") return true;
   return fallback;
 }
+
+// A process-wide on/off gate that the hot paths read (lockstat, span
+// tracing, lockdep, the misuse checks), seeded from the environment at
+// its first read and settable at run time. It is constant-initialized,
+// so a read needs no static-init guard: one relaxed byte load and a
+// branch, inline. The environment is read once, out of line, by the
+// first read that finds the gate unseeded; a set() before any read
+// wins over the environment, as a store after it would.
+class EnvSwitch {
+ public:
+  using Seed = bool (*)();
+  constexpr explicit EnvSwitch(Seed seed) noexcept : seed_(seed) {}
+  EnvSwitch(const EnvSwitch&) = delete;
+  EnvSwitch& operator=(const EnvSwitch&) = delete;
+
+  [[gnu::always_inline]] bool on() noexcept {
+    const std::uint8_t v = state_.load(std::memory_order_relaxed);
+    if (__builtin_expect(v != kUnseeded, 1)) return v == kOn;
+    return seed_now();
+  }
+  void set(bool on) noexcept {
+    state_.store(on ? kOn : kOff, std::memory_order_relaxed);
+  }
+
+ private:
+  static constexpr std::uint8_t kUnseeded = 0;
+  static constexpr std::uint8_t kOff = 1;
+  static constexpr std::uint8_t kOn = 2;
+
+  [[gnu::cold, gnu::noinline]] bool seed_now() noexcept {
+    std::uint8_t v = seed_() ? kOn : kOff;
+    std::uint8_t expected = kUnseeded;
+    if (!state_.compare_exchange_strong(expected, v,
+                                        std::memory_order_relaxed)) {
+      v = expected;  // a racing seed or set() got there first
+    }
+    return v == kOn;
+  }
+
+  std::atomic<std::uint8_t> state_{kUnseeded};
+  const Seed seed_;
+};
 
 }  // namespace resilock::platform

@@ -57,6 +57,7 @@ thread_local Slot t_slot;
 
 pid_t ThreadRegistry::current_pid() {
   if (t_slot.pid == kInvalidPid) t_slot.pid = claim_slot();
+  detail::t_pid = t_slot.pid;
   return t_slot.pid;
 }
 

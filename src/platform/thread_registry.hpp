@@ -34,7 +34,20 @@ class ThreadRegistry {
   ThreadRegistry() = delete;
 };
 
-// Shorthand used throughout lock implementations.
-inline pid_t self_pid() { return ThreadRegistry::current_pid(); }
+namespace detail {
+// The calling thread's pid once current_pid() has registered it;
+// kInvalidPid before. Constant-initialized, so reading it is one TLS
+// load with no init call.
+inline constinit thread_local pid_t t_pid = kInvalidPid;
+}  // namespace detail
+
+// Shorthand used throughout lock implementations: the cached pid,
+// inline; only a thread's first call registers it, out of line.
+[[gnu::always_inline]] inline pid_t self_pid() {
+  const pid_t p = detail::t_pid;
+  return __builtin_expect(p != kInvalidPid, 1)
+             ? p
+             : ThreadRegistry::current_pid();
+}
 
 }  // namespace resilock::platform

@@ -205,6 +205,13 @@ class HeldLockTable {
     }
   }
 
+  // Calls `f(hold)` on every fast-slot entry, in slot order, read-only
+  // (lockdep's chain key; spilled entries are not visited).
+  template <typename F>
+  [[gnu::always_inline]] void each_fast(F&& f) const {
+    for (std::size_t i = 0; i < fast_count_; ++i) f(holds_[i]);
+  }
+
   // Number of entries: held locks plus lockdep-only level entries.
   std::size_t held_count() const { return fast_count_ + spill_.size(); }
 

@@ -474,17 +474,19 @@ class ShieldCore {
     return owner != kNoOwner && owner != me();
   }
 
-  // The order-edge hook. The stake (waiters plus live readers) can be
-  // an O(threads) indicator scan, so the single-lock path — empty held
-  // record, where the attempt records nothing — skips it. "Held by
-  // another thread" counts as contended even with no waiter: that is
-  // the canonical two-thread wedge shape.
+  // The order-edge hook. The stake (waiters plus live readers) reads
+  // the cold line waiters write and, for an rwlock, scans the read
+  // indicator, so it is computed only when the chain-key cache misses:
+  // a known order cannot report. "Held by another thread" counts as
+  // contended even with no waiter: that is the canonical two-thread
+  // wedge shape.
   void lockdep_attempt(const HeldLockTable& tbl, AccessMode mode) {
     if (!lockdep::lockdep_enabled()) return;
     if (tbl.held_count() == 0) return;
-    lockdep::on_acquire_attempt(this, ensure_class(),
-                                contention_.waiters() + readers(),
-                                owned_by_other(), mode);
+    lockdep::on_acquire_attempt(this, ensure_class(), mode, [this] {
+      return lockdep::EdgeStake{contention_.waiters() + readers(),
+                                owned_by_other()};
+    });
   }
 
   // The contended window of a blocking acquire: the waiter gauge, its
@@ -568,13 +570,20 @@ class ShieldCore {
     }
   }
 
+  // The lockdep class, registered on first use: the registered check
+  // is inline, the registration out of line.
+  lockdep::ClassId ensure_class() {
+    const lockdep::ClassId id =
+        lockdep_class_.load(std::memory_order_acquire);
+    if (__builtin_expect(id != lockdep::kInvalidClass, 1)) return id;
+    return register_class();
+  }
+
   // Lazily registers the lockdep class for the chosen ClassMode. Racing
   // first acquires CAS; the loser retires its surplus id (a keyed
   // shield gets the key's one id, so its CAS cannot lose a distinct
   // one).
-  lockdep::ClassId ensure_class() {
-    lockdep::ClassId id = lockdep_class_.load(std::memory_order_acquire);
-    if (id != lockdep::kInvalidClass) return id;
+  [[gnu::cold, gnu::noinline]] lockdep::ClassId register_class() {
     lockdep::Graph& g = lockdep::Graph::instance();
     const lockdep::ClassId fresh =
         class_mode_ == ClassMode::kKeyed

@@ -130,6 +130,9 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     put("lockdep.limbo", ls.limbo);
     put("lockdep.reclaimed", ls.reclaimed);
     put("lockdep.shard_steals", ls.shard_steals);
+    put("lockdep.chains", ls.chains);
+    put("lockdep.chain_walks", ls.chain_walks);
+    put("lockdep.chain_set_full", ls.chain_set_full);
   }
 
   // Lockstat aggregates: the cheap always-safe summary (full per-class

@@ -14,13 +14,21 @@
 //     entry sources no edge, keeps no lockstat window and self-heals),
 //     and the per-class hand-off epoch that retires an entry whose hold
 //     a forwarded non-owner unlock ended;
+//   * the chain-key cache: a cached order still lets its inversion be
+//     reported once, a recycled class id misses its dead chain, chains
+//     through a stale entry or a read/read pair are never cached, and
+//     a concurrent insert/lookup/retire stress finds every edge a hit
+//     stands for in the graph;
 //   * the mode engine (report/abort/off) and the verify-layer
 //     scenario matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "core/lock_registry.hpp"
@@ -701,6 +709,217 @@ TEST(Lockdep, InterposedMutexGetsDetectionForFree) {
   EXPECT_EQ(interpose::rl_mutex_unlock(&b), 0);
   EXPECT_EQ(interpose::rl_mutex_destroy(&a), 0);
   EXPECT_EQ(interpose::rl_mutex_destroy(&b), 0);
+}
+
+// ---------------------------------------------------------------------
+// The chain-key cache: a hit must never stand for an edge the graph
+// does not hold.
+// ---------------------------------------------------------------------
+
+TEST(LockdepChains, CachedOrderStillFlagsTheInversionOnce) {
+  // One thread caches A->B; another then takes B->A. The reversed
+  // chain is a different key, so it walks, claims B->A and reports the
+  // inversion — once, however often either order repeats.
+  LockdepModeGuard mode(LockdepMode::kReport);
+  shield::ShieldPolicyGuard pol(ShieldPolicy::kSuppress);
+  Shield<TatasLock> a, b;
+  const auto before = stats();
+  std::thread([&] {
+    for (int i = 0; i < 3; ++i) {
+      a.acquire();
+      b.acquire();
+      EXPECT_TRUE(b.release());
+      EXPECT_TRUE(a.release());
+    }
+  }).join();
+  EXPECT_EQ(stats().chains, before.chains + 1);
+  EXPECT_EQ(stats().chain_walks, before.chain_walks + 1);  // then hits
+  EXPECT_EQ(stats().inversions, before.inversions);
+  std::thread([&] {
+    for (int i = 0; i < 3; ++i) {
+      b.acquire();
+      a.acquire();
+      EXPECT_TRUE(a.release());
+      EXPECT_TRUE(b.release());
+    }
+  }).join();
+  EXPECT_EQ(stats().inversions, before.inversions + 1);
+  EXPECT_EQ(stats().chain_walks, before.chain_walks + 2);
+  const auto& g = Graph::instance();
+  EXPECT_TRUE(g.has_edge(a.lockdep_class(), b.lockdep_class()));
+  EXPECT_TRUE(g.has_edge(b.lockdep_class(), a.lockdep_class()));
+}
+
+TEST(LockdepChains, RecycledClassIdMissesTheDeadChain) {
+  // A chain key names its classes by id, and an id recurs once its
+  // slot has been recycled through every generation. Retiring a class
+  // that had edges moves the chain generation, so the recurring id's
+  // first nesting misses the dead chain's key and records its edge.
+  LockdepModeGuard mode(LockdepMode::kReport);
+  auto& g = Graph::instance();
+  int key_a = 0, held_a = 0, lock_b = 0, dummy = 0;
+  const lockdep::ClassId a = g.register_shared_class(&key_a, "chains.a");
+  const lockdep::ClassId b = g.register_class(&lock_b, "chains.b");
+  ASSERT_TRUE(lockdep::class_tracked(a));
+  ASSERT_TRUE(lockdep::class_tracked(b));
+  const auto nest = [&](lockdep::ClassId acquired) {
+    lockdep::on_acquired(&held_a, a);
+    lockdep::on_acquire_attempt(&lock_b, acquired);
+    lockdep::on_released(&held_a);
+  };
+  const auto before = stats();
+  nest(b);
+  nest(b);
+  ASSERT_TRUE(g.has_edge(a, b));
+  EXPECT_EQ(stats().chains, before.chains + 1);
+
+  // Fill the table with growth clamped, so b's slot is the only one a
+  // registration can get back; then cycle it until b's id recurs.
+  lockdep::CapacityLimitGuard clamp(g.capacity());
+  g.retire_class(b);  // clears a->b
+  std::vector<lockdep::ClassId> fillers;
+  for (;;) {
+    const auto id = g.register_class(&dummy, "chains.filler");
+    if (id == lockdep::kUntrackedClass) break;
+    fillers.push_back(id);
+    ASSERT_LE(fillers.size(), g.capacity());
+  }
+  const auto it = std::find_if(
+      fillers.begin(), fillers.end(), [&](lockdep::ClassId id) {
+        return lockdep::class_slot(id) == lockdep::class_slot(b);
+      });
+  ASSERT_NE(it, fillers.end());
+  lockdep::ClassId tenant = *it;
+  fillers.erase(it);
+  while (tenant != b) {
+    g.retire_class(tenant);
+    tenant = g.register_class(&lock_b, "chains.b");
+    ASSERT_EQ(lockdep::class_slot(tenant), lockdep::class_slot(b));
+  }
+  EXPECT_FALSE(g.has_edge(a, tenant));
+  nest(tenant);
+  EXPECT_TRUE(g.has_edge(a, tenant));
+  g.retire_class(tenant);
+  for (const auto id : fillers) g.retire_class(id);
+  g.retire_class(a);
+}
+
+TEST(LockdepChains, StaleEntryChainIsNotCached) {
+  // A walk that clears a §5-stale entry records no edge from it, so
+  // its chain must not be cached: the same key, met again when the
+  // thread genuinely holds the lock, must walk and record the edge.
+  LockdepModeGuard mode(LockdepMode::kReport);
+  shield::ShieldPolicyGuard pol(ShieldPolicy::kSuppress);
+  Shield<TatasLock> a, b;
+  a.acquire();
+  {
+    MisuseCheckGuard off(false);
+    std::thread([&] { EXPECT_TRUE(a.release()); }).join();
+  }
+  const auto before = stats();
+  b.acquire();  // the walk clears a's stale lockdep part
+  EXPECT_FALSE(sources_edges(&a));
+  EXPECT_EQ(stats().chains, before.chains);
+  EXPECT_TRUE(b.release());
+  a.acquire();  // heals: a fresh, ordered entry
+  ASSERT_TRUE(sources_edges(&a));
+  b.acquire();  // the same chain, held for real this time
+  EXPECT_TRUE(
+      Graph::instance().has_edge(a.lockdep_class(), b.lockdep_class()));
+  EXPECT_TRUE(b.release());
+  EXPECT_TRUE(a.release());
+}
+
+TEST(LockdepChains, KeysOfTwoGenerationsMeetOnlyByChance) {
+  // A hit must name the chain that was proven, so distinct (generation,
+  // held entry) pairs must not share a key by construction. Folding a
+  // raw generation and a raw entry together does exactly that: holding
+  // class 10 at generation 1 and class 11 at generation 5 would give one
+  // key, so after four retirements of nested classes the second chain
+  // would hit the first's key and never record its edge. Neighbouring
+  // class ids and nearby generations are the common case, so every key
+  // of that grid must be distinct.
+  std::thread([] {
+    auto& tbl = HeldLockTable::mine();
+    int held = 0;
+    tbl.insert(&held, {.ordered = true});
+    HeldLockTable::Hold* h = tbl.find(&held);
+    ASSERT_NE(h, nullptr);
+    constexpr lockdep::ClassId kAcquired = 7;
+    constexpr std::uint64_t kGenerations = 64;
+    constexpr lockdep::ClassId kClasses = 128;
+    constexpr std::array kModes{AccessMode::kExclusive, AccessMode::kRead,
+                                AccessMode::kWrite};
+    std::unordered_set<std::uint64_t> keys;
+    for (std::uint64_t gen = 1; gen <= kGenerations; ++gen) {
+      for (lockdep::ClassId c = 0; c < kClasses; ++c) {
+        for (const AccessMode m : kModes) {
+          h->cls = c;
+          h->mode = m;
+          keys.insert(lockdep::detail::chain_key(
+              tbl, kAcquired, AccessMode::kExclusive, gen));
+        }
+      }
+    }
+    EXPECT_EQ(keys.size(), kGenerations * kClasses * kModes.size());
+    lockdep::on_released(&held);
+  }).join();
+}
+
+TEST(LockdepChains, ConcurrentInsertLookupRetireStress) {
+  // Three threads nest a fixed set of locks in one global order, so
+  // they insert and hit chain keys, while a fourth nests short-lived
+  // locks — one of them under a fixed lock — whose retirement clears
+  // edges and moves the chain generation under them. After every
+  // nested acquire, hit or walk, its edge must be in the graph.
+  LockdepModeGuard mode(LockdepMode::kReport);
+  shield::ShieldPolicyGuard pol(ShieldPolicy::kSuppress);
+  constexpr int kLocks = 5;
+  constexpr int kIters = 2000;
+  constexpr int kChurns = 300;
+  std::array<Shield<TatasLock>, kLocks> locks;
+  const auto before = stats();
+  std::atomic<bool> churning{true};
+  std::thread churn([&] {
+    for (int n = 0; n < kChurns; ++n) {
+      Shield<TatasLock> x, y;
+      x.acquire();
+      y.acquire();
+      EXPECT_TRUE(y.release());
+      EXPECT_TRUE(x.release());
+      locks[0].acquire();
+      x.acquire();
+      EXPECT_TRUE(x.release());
+      EXPECT_TRUE(locks[0].release());
+    }
+    churning.store(false, std::memory_order_relaxed);
+  });
+  std::atomic<int> missing{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 3; ++t) {
+    workers.emplace_back([&, t] {
+      const auto& g = Graph::instance();
+      // At least kIters nestings, and on until the churn is done.
+      for (int n = 0;
+           n < kIters || churning.load(std::memory_order_relaxed); ++n) {
+        const int i = (n + t) % (kLocks - 1);
+        const int j = i + 1 + (n / kLocks + t) % (kLocks - 1 - i);
+        locks[i].acquire();
+        locks[j].acquire();
+        if (!g.has_edge(locks[i].lockdep_class(),
+                        locks[j].lockdep_class())) {
+          missing.fetch_add(1, std::memory_order_relaxed);
+        }
+        EXPECT_TRUE(locks[j].release());
+        EXPECT_TRUE(locks[i].release());
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  churn.join();
+  EXPECT_EQ(missing.load(), 0);
+  EXPECT_EQ(stats().reports(), before.reports());
+  EXPECT_GT(stats().chains, before.chains);
 }
 
 // ---------------------------------------------------------------------

@@ -85,6 +85,7 @@ const std::string& child_bin(const std::string& name) {
   static Built manylocks = build("preload_manylocks");
   static Built rwlock_kinds = build("preload_rwlock_kinds");
   static Built misuse_exit = build("preload_misuse_exit");
+  static Built chain_child = build("preload_chain_child");
   static const Built none{"", false};
   const Built& b = name == "preload_child"         ? child
                    : name == "preload_static_init" ? static_init
@@ -93,6 +94,7 @@ const std::string& child_bin(const std::string& name) {
                    : name == "preload_manylocks"   ? manylocks
                    : name == "preload_rwlock_kinds" ? rwlock_kinds
                    : name == "preload_misuse_exit" ? misuse_exit
+                   : name == "preload_chain_child" ? chain_child
                                                    : none;
   EXPECT_TRUE(b.ok) << "failed to compile child " << name;
   return b.path;
@@ -445,6 +447,34 @@ TEST(PreloadTrace, MetricsFileAloneIsWritten) {
   const std::string m = slurp(metrics);
   EXPECT_TRUE(JsonDocument::valid(m)) << m;
   EXPECT_NE(m.find("\"trace.events_emitted\""), std::string::npos) << m;
+  std::remove(metrics.c_str());
+}
+
+// Lockdep on an unmodified program: 20k repeats of one lock order and
+// one inversion record exactly the two orders and one report, and the
+// repeats hit the chain-key cache — each thread walks the graph a few
+// times at most, not once per acquire.
+TEST(PreloadTrace, RepeatedOrderHitsTheChainCache) {
+  const std::string metrics =
+      ::testing::TempDir() + "preload_chain_metrics.json";
+  std::remove(metrics.c_str());
+  RunResult r = run("env " + preload_env() +
+                    " RESILOCK_METRICS_FORMAT=json RESILOCK_METRICS_FILE=" +
+                    metrics + " " + child_bin("preload_chain_child"));
+  EXPECT_EQ(r.exit_code, 0) << r.out;
+  const std::string m = slurp(metrics);
+  ASSERT_TRUE(JsonDocument::valid(m)) << m;
+  const auto metric = [&m](const std::string& name) -> long long {
+    const std::string key = "\"" + name + "\":";
+    const std::size_t at = m.find(key);
+    if (at == std::string::npos) return -1;
+    return std::strtoll(m.c_str() + at + key.size(), nullptr, 10);
+  };
+  EXPECT_EQ(metric("lockdep.edges"), 2) << m;
+  EXPECT_EQ(metric("lockdep.inversions"), 1) << m;
+  EXPECT_GE(metric("lockdep.chains"), 1) << m;
+  EXPECT_GE(metric("lockdep.chain_walks"), 2) << m;  // A->B once, B->A once
+  EXPECT_LE(metric("lockdep.chain_walks"), 8) << m;
   std::remove(metrics.c_str());
 }
 

@@ -938,6 +938,9 @@ TEST(Metrics, SnapshotCoversEveryLayerAndCustomGauges) {
   EXPECT_NE(s.value("response.action.suppress", 999999), 999999u);
   EXPECT_NE(s.value("lockdep.edges", 999999), 999999u);
   EXPECT_NE(s.value("lockdep.rr_skipped", 999999), 999999u);
+  EXPECT_NE(s.value("lockdep.chains", 999999), 999999u);
+  EXPECT_NE(s.value("lockdep.chain_walks", 999999), 999999u);
+  EXPECT_NE(s.value("lockdep.chain_set_full", 999999), 999999u);
   EXPECT_NE(s.value("trace.events_dropped", 999999), 999999u);
   EXPECT_NE(s.value("collector.sleep_us", 999999), 999999u);
 
