@@ -20,8 +20,15 @@
 //               the spin budget (RESILOCK_PARK_SPINS) absorbs short
 //               waits and the futex is rarely entered.
 //
+//   solo        one thread, an uncontended acquire/release pair,
+//               parking off then on: a granted word never reaches the
+//               futex, so the price is the park-word bookkeeping on
+//               the hand-off path. ns per pair, best of 3 passes taken
+//               spin/park alternately; CI gates the park/spin ratio of
+//               MCS and Ticket.
+//
 // RESILOCK_SCALE scales iteration counts; `--json out.json` writes
-// the table for the CI smoke gate (see BENCH_parking.json).
+// the table for the CI smoke gate, which runs at the default scale.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -38,6 +45,7 @@
 #include "park/parking_lot.hpp"
 #include "platform/env.hpp"
 #include "runtime/barrier.hpp"
+#include "runtime/stats.hpp"
 #include "runtime/thread_team.hpp"
 #include "runtime/timer.hpp"
 
@@ -98,6 +106,21 @@ Run run_one(const char* name, bool parking, std::uint32_t threads,
   return r;
 }
 
+// ns per uncontended pair with parking off and on; the best pass counts.
+struct Solo {
+  explicit Solo(const char* name) : lock(name) {}
+
+  std::string lock;
+  runtime::RunStats spin_ns, park_ns;
+
+  void add(const Run& r) {
+    (r.mode == "park" ? park_ns : spin_ns)
+        .add(static_cast<double>(r.wall_ns) /
+             static_cast<double>(r.total_acquires));
+  }
+  double ratio() const { return park_ns.min() / spin_ns.min(); }
+};
+
 void print_run(const Run& r) {
   std::printf("  %-8s %-5s %2u threads  %9.0f acq/s  wall %8.1f ms  "
               "cpu %8.1f ms\n",
@@ -151,6 +174,24 @@ int main(int argc, char** argv) {
   sweep(cores, "matched");
   sweep(oversub, "oversubscribed");
 
+  const auto solo_iters = std::max<std::uint64_t>(
+      200000, static_cast<std::uint64_t>(2000000.0 * scale));
+  std::vector<Solo> solos = {Solo("MCS"), Solo("CLH"), Solo("Ticket")};
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const bool parking : {false, true}) {
+      solos[0].add(run_one<McsLockResilient>("MCS", parking, 1, solo_iters));
+      solos[1].add(run_one<ClhLockResilient>("CLH", parking, 1, solo_iters));
+      solos[2].add(
+          run_one<TicketLockResilient>("Ticket", parking, 1, solo_iters));
+    }
+  }
+  std::printf("solo (1 thread, %llu pairs, best of 3):\n",
+              static_cast<unsigned long long>(solo_iters));
+  for (const Solo& s : solos) {
+    std::printf("  %-8s spin %6.1f ns/pair  park %6.1f ns/pair  (%.2fx)\n",
+                s.lock.c_str(), s.spin_ns.min(), s.park_ns.min(), s.ratio());
+  }
+
   if (json_path != nullptr) {
     std::FILE* f = std::fopen(json_path, "w");
     if (f == nullptr) {
@@ -165,6 +206,17 @@ int main(int argc, char** argv) {
     w.field("per_thread", per_thread);
     w.begin_array("runs");
     for (const Run& r : runs) emit_run(w, r);
+    w.end_array();
+    w.field("solo_pairs", solo_iters);
+    w.begin_array("solo");
+    for (const Solo& s : solos) {
+      w.begin_object();
+      w.field("lock", s.lock);
+      w.field("pair_ns_spin", s.spin_ns.min());
+      w.field("pair_ns_park", s.park_ns.min());
+      w.field("park_overhead_ratio", s.ratio());
+      w.end_object();
+    }
     w.end_array();
     w.end_object();
     std::fputc('\n', f);

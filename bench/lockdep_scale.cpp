@@ -17,9 +17,18 @@
 //               private live sets concurrently, aggregate Mops across
 //               the thread axis. Shard freelists (RESILOCK_LOCKDEP_
 //               SHARDS) are the contention dial this prices.
+//   hier      — the per-level hooks on a 3-level fanout HMCS tree
+//               behind the shield, at 1 and RESILOCK_MAX_THREADS
+//               threads: every acquisition climbs the hierarchy, so
+//               the per-level class hooks (attempt/acquired per level,
+//               the skip-set scan, the per-level release pops) sit on
+//               the hand-off hot path. Shield alone vs shield + lockdep
+//               in report mode; CI gates lockdep_over_shield.
 //
-// Methodology matches the other benches: barrier start, best of
-// RESILOCK_REPS, RESILOCK_SCALE-sized op counts.
+// Methodology: barrier start, RESILOCK_SCALE-sized op counts; churn
+// and sweep keep the best of RESILOCK_REPS, hier the median of at least
+// 3 reps, timed rep-major (both configurations once per rep, so host
+// drift touches them alike) after an untimed warm pass.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -27,12 +36,15 @@
 #include <string>
 #include <vector>
 
+#include "core/hmcs.hpp"
 #include "harness/evaluation.hpp"
 #include "json_writer.hpp"
 #include "lockdep/lockdep.hpp"
 #include "runtime/barrier.hpp"
+#include "runtime/stats.hpp"
 #include "runtime/thread_team.hpp"
 #include "runtime/timer.hpp"
+#include "shield/shield.hpp"
 
 namespace {
 
@@ -172,6 +184,68 @@ SweepRow sweep_at(std::uint32_t threads, std::uint64_t ops_per_thread,
   return row;
 }
 
+struct HierRow {
+  std::uint32_t threads = 0;
+  double shield_mops = 0;   // lockdep off: the ownership layer alone
+  double lockdep_mops = 0;  // + lockdep in report mode
+  double lockdep_over_shield() const {
+    return lockdep_mops > 0 ? shield_mops / lockdep_mops : 0.0;
+  }
+};
+
+// One timed pass over a fresh tree: aggregate Mops from barrier release
+// to the last thread's finish. Each thread first runs an untimed tenth
+// of the pass, as the layer ladder does: the first acquisitions pay
+// one-time costs (lockdep class and level registration, first touches
+// of the tree's nodes) that would otherwise land in a short timed pass.
+double tree_mops(lockdep::LockdepMode mode, std::uint32_t threads,
+                 std::uint64_t iters) {
+  using Tree = Shield<BasicHmcsLock<kOriginal>>;
+  lockdep::LockdepModeGuard guard(mode);
+  Tree lock(std::vector<std::uint32_t>{2, 2});
+  runtime::SenseBarrier start(threads);
+  std::atomic<std::uint64_t> start_ns{0};
+  std::vector<std::uint64_t> end_ns(threads, 0);
+  runtime::ThreadTeam::run(threads, [&](std::uint32_t tid) {
+    Tree::Context ctx;
+    std::uint64_t sink = 0;
+    for (std::uint64_t i = 0; i < iters / 10; ++i) {
+      lock.acquire(ctx);
+      lock.release(ctx);
+    }
+    start.arrive_and_wait();
+    if (tid == 0) {
+      start_ns.store(runtime::now_ns(), std::memory_order_relaxed);
+    }
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      lock.acquire(ctx);
+      sink ^= runtime::busy_work(4, sink + i);  // short CS
+      lock.release(ctx);
+    }
+    end_ns[tid] = runtime::now_ns();
+    if (sink == 42) std::fputc(0, stderr);  // keep the chain alive
+  });
+  const std::uint64_t last = *std::max_element(end_ns.begin(), end_ns.end());
+  const double secs =
+      static_cast<double>(last - start_ns.load(std::memory_order_relaxed)) *
+      1e-9;
+  return static_cast<double>(iters) * threads / secs * 1e-6;
+}
+
+HierRow hier_at(std::uint32_t threads, std::uint64_t iters,
+                std::uint32_t reps) {
+  runtime::RunStats shield, lockdep;
+  for (std::uint32_t rep = 0; rep < reps; ++rep) {
+    shield.add(tree_mops(lockdep::LockdepMode::kOff, threads, iters));
+    lockdep.add(tree_mops(lockdep::LockdepMode::kReport, threads, iters));
+  }
+  HierRow row;
+  row.threads = threads;
+  row.shield_mops = shield.median();
+  row.lockdep_mops = lockdep.median();
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -214,6 +288,19 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
+  const std::uint32_t hier_reps = std::max<std::uint32_t>(3, reps);
+  std::vector<HierRow> hier_rows;
+  std::printf("\n%8s %12s %13s %17s  (HMCS{2,2}, median of %u)\n",
+              "threads", "shield Mops", "lockdep Mops", "lockdep/shield x",
+              hier_reps);
+  for (const std::uint32_t t : {1u, max_threads}) {
+    hier_rows.push_back(hier_at(t, churn_ops, hier_reps));
+    const HierRow& r = hier_rows.back();
+    std::printf("%8u %12.2f %13.2f %16.2fx\n", r.threads, r.shield_mops,
+                r.lockdep_mops, r.lockdep_over_shield());
+    std::fflush(stdout);
+  }
+
   if (json_path != nullptr) {
     const bool ok = bench::write_bench_json(
         json_path, "lockdep_scale", max_threads, reps, churn_ops,
@@ -235,6 +322,16 @@ int main(int argc, char** argv) {
             w.field("section", "sweep");
             w.field("threads", r.threads);
             w.field("churn_mops", r.churn_mops);
+            w.end_object();
+          }
+          for (const auto& r : hier_rows) {
+            w.begin_object();
+            w.field("section", "hier");
+            w.field("lock", "HMCS{2,2}");
+            w.field("threads", r.threads);
+            w.field("shield_mops", r.shield_mops);
+            w.field("lockdep_mops", r.lockdep_mops);
+            w.field("lockdep_over_shield", r.lockdep_over_shield());
             w.end_object();
           }
         });

@@ -25,7 +25,7 @@
 //
 // Scaling mirrors the other benches: RESILOCK_SCALE scales event
 // counts, RESILOCK_MAX_THREADS caps producers; `--json out.json`
-// emits the table machine-readably for BENCH_telemetry.json.
+// emits the table machine-readably for the CI smoke gate.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>

@@ -55,7 +55,8 @@ class LentHold {
 
   // Exact for the calling thread: only it writes its own tag.
   bool held_by_me() const {
-    return owner_.load(std::memory_order_relaxed) == me();
+    const std::uint32_t tag = me();  // claimed before the load
+    return owner_.load(std::memory_order_relaxed) == tag;
   }
 
  private:

@@ -73,10 +73,11 @@ class BasicHboLock {
 
   bool release() {
     if constexpr (R == kResilient) {
-      const std::uint64_t cur = word_.load(std::memory_order_relaxed);
-      if (misuse_checks_enabled() &&
-          pid_of_word(cur) != platform::self_pid() + 1) {
-        return false;
+      if (misuse_checks_enabled()) {
+        const std::uint32_t me = platform::self_pid() + 1;  // before the load
+        if (pid_of_word(word_.load(std::memory_order_relaxed)) != me) {
+          return false;
+        }
       }
     }
     word_.store(kFree, std::memory_order_release);

@@ -135,10 +135,11 @@ class BasicMcsK42Lock {
 
   bool release() {
     if constexpr (R == kResilient) {
-      if (misuse_checks_enabled() &&
-          owner_.load(std::memory_order_relaxed) !=
-              platform::self_pid() + 1) {
-        return false;  // unbalanced unlock detected; state untouched
+      if (misuse_checks_enabled()) {
+        const std::uint32_t me = platform::self_pid() + 1;  // before the load
+        if (owner_.load(std::memory_order_relaxed) != me) {
+          return false;  // unbalanced unlock detected; state untouched
+        }
       }
       owner_.store(kNoOwner, std::memory_order_relaxed);
     }

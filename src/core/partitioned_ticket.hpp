@@ -82,10 +82,9 @@ class BasicPartitionedTicketLock {
 
   bool release() {
     if constexpr (R == kResilient) {
-      if (misuse_checks_enabled() &&
-          owner_.load(std::memory_order_relaxed) !=
-              platform::self_pid() + 1) {
-        return false;
+      if (misuse_checks_enabled()) {
+        const std::uint32_t me = platform::self_pid() + 1;  // before the load
+        if (owner_.load(std::memory_order_relaxed) != me) return false;
       }
       owner_.store(kNoOwner, std::memory_order_relaxed);
     }

@@ -65,8 +65,8 @@ class ReentrantLock {
 
   std::uint32_t depth() const { return depth_; }
   bool held_by_self() const {
-    return owner_.load(std::memory_order_relaxed) ==
-           platform::self_pid() + 1;
+    const std::uint32_t me = platform::self_pid() + 1;
+    return owner_.load(std::memory_order_relaxed) == me;
   }
 
  private:

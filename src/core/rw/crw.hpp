@@ -197,11 +197,11 @@ class CrwLock {
     if constexpr (R == kResilient) {
       // Ticket-style PID remedy applied at the RW level, so the check
       // happens before any flag (RP barrier, WP pending count) or the
-      // cohort lock itself can be corrupted.
-      if (misuse_checks_enabled() &&
-          writer_pid_.load(std::memory_order_relaxed) !=
-              platform::self_pid() + 1) {
-        return false;
+      // cohort lock itself can be corrupted. The pid is claimed before
+      // the load (see TasLock::release).
+      if (misuse_checks_enabled()) {
+        const std::uint32_t me = platform::self_pid() + 1;
+        if (writer_pid_.load(std::memory_order_relaxed) != me) return false;
       }
       writer_pid_.store(0, std::memory_order_relaxed);
     }

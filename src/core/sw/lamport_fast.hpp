@@ -75,10 +75,11 @@ class BasicLamportFast1Lock {
 
   bool release() {
     if constexpr (R == kResilient) {
-      if (misuse_checks_enabled() &&
-          y_.load(std::memory_order_seq_cst) !=
-              platform::self_pid() + 1) {
-        return false;  // Figure 12's fix: "if <y != i> goto exit"
+      if (misuse_checks_enabled()) {
+        const std::uint32_t me = platform::self_pid() + 1;  // before the load
+        if (y_.load(std::memory_order_seq_cst) != me) {
+          return false;  // Figure 12's fix: "if <y != i> goto exit"
+        }
       }
     }
     y_.store(0, std::memory_order_seq_cst);

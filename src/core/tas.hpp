@@ -111,10 +111,13 @@ class BasicTasLock {
       return true;
     } else {
       // The extra load the paper charges to the fix: only the thread
-      // whose PID is stored may reset the word.
-      if (misuse_checks_enabled() &&
-          word_.load(std::memory_order_relaxed) != self_tag()) {
-        return false;
+      // whose PID is stored may reset the word. The pid is claimed
+      // before the load: a thread's first claim can recycle the pid of a
+      // holder that exits in between, and that holder's tag may already
+      // be in hand.
+      if (misuse_checks_enabled()) {
+        const std::uint32_t me = self_tag();
+        if (word_.load(std::memory_order_relaxed) != me) return false;
       }
       word_.store(kUnlocked, std::memory_order_release);
       return true;
@@ -130,7 +133,8 @@ class BasicTasLock {
   // uniformly).
   bool is_locked_by_self() const {
     if constexpr (R == kResilient) {
-      return word_.load(std::memory_order_relaxed) == self_tag();
+      const std::uint32_t me = self_tag();
+      return word_.load(std::memory_order_relaxed) == me;
     } else {
       return true;
     }

@@ -79,11 +79,11 @@ class BasicTicketLock {
   bool release() {
     if constexpr (R == kResilient) {
       // The extra load the paper charges to the fix (§6: the modified
-      // release has a load where the original had only a store).
-      if (misuse_checks_enabled() &&
-          owner_.load(std::memory_order_relaxed) !=
-              platform::self_pid() + 1) {
-        return false;
+      // release has a load where the original had only a store). The
+      // pid is claimed before the load (see TasLock::release).
+      if (misuse_checks_enabled()) {
+        const std::uint32_t me = platform::self_pid() + 1;
+        if (owner_.load(std::memory_order_relaxed) != me) return false;
       }
       owner_.store(kNoOwner, std::memory_order_relaxed);
     }
@@ -117,8 +117,8 @@ class BasicTicketLock {
   // path; the original flavor cannot check and reports true.
   bool owned_by_caller() const {
     if constexpr (R == kResilient) {
-      return owner_.load(std::memory_order_relaxed) ==
-             platform::self_pid() + 1;
+      const std::uint32_t me = platform::self_pid() + 1;
+      return owner_.load(std::memory_order_relaxed) == me;
     } else {
       return true;
     }

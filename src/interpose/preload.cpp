@@ -53,7 +53,7 @@
 // LiTL (a recursive-attr relock surfaces as the shield's
 // reentrant-relock event; a pshared mutex is adopted per process),
 // PI/robust protocols are not emulated, and fork() without exec() is
-// unsupported (resilock_drive exec()s). The cond clock
+// unsupported (a harness that forks its app exec()s it). The cond clock
 // attribute IS honoured; a CLOCK_REALTIME deadline is re-based onto
 // CLOCK_MONOTONIC once, at the call, so a wall-clock step during the
 // wait does not move it. Cond waits stay cancellation points. A

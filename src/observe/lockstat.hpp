@@ -40,7 +40,7 @@
 // acquire/release pair (~50 ns) unconditional timestamps alone blow
 // the repo's 2x overhead budget — rdtsc is ~18 ns even on good
 // hardware. Sampling keeps the default-on cost inside the budget
-// (bench/lockstat_overhead.cpp prices both modes) while the
+// (the layer ladder, perfbench/layers.cpp, prices both modes) while the
 // reconciliation story — acquisitions, contentions, trylock
 // failures, misuses vs the shield's own counters — stays exact.
 //

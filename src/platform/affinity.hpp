@@ -1,12 +1,12 @@
-// CPU-affinity placement helpers for the interposition drive harness.
+// CPU-affinity placement helpers.
 //
 // The paper's evaluation pins workload threads explicitly and sweeps
 // placements across the two sockets (§6: same-socket vs cross-socket
-// runs change which lock family wins). resilock_drive reproduces that
-// by computing a CPU list from the Topology model — "compact" fills one
-// domain before spilling to the next (the same-socket shape),
-// "spread" round-robins domains (the cross-socket shape) — and passing
-// it to the workload, which pins thread i to cpus[i % n].
+// runs change which lock family wins). These helpers compute such a
+// CPU list from the Topology model — "compact" fills one domain before
+// spilling to the next (the same-socket shape), "spread" round-robins
+// domains (the cross-socket shape) — in the form the benchmark's app
+// takes it (`--cpus`, thread i pinned to cpus[i % n]).
 //
 // Placement is modeled over the Topology abstraction, not libnuma
 // (which the toolchain image does not carry): CPU ids are taken from

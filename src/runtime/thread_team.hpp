@@ -17,6 +17,13 @@ class ThreadTeam {
   static void run(std::uint32_t threads,
                   const std::function<void(std::uint32_t)>& body);
 
+  // Staggered start: the same team, but at most `live` workers run at
+  // once, and worker i+live starts as soon as an earlier worker's body
+  // returns. Each new worker's first dense-pid claim then races that
+  // worker's thread exit, which frees its pid (platform/thread_registry).
+  static void run_staggered(std::uint32_t threads, std::uint32_t live,
+                            const std::function<void(std::uint32_t)>& body);
+
   ThreadTeam() = delete;
 };
 

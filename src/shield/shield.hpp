@@ -9,8 +9,8 @@
 // protocol*. Because the base protocol never observes the misuse, even a
 // kOriginal lock behind a shield keeps mutual exclusion and liveness
 // under misuse, at the cost of one thread-local table probe per
-// operation (bench/shield_overhead.cpp quantifies it against the native
-// in-protocol checks).
+// operation (the layer ladder's `shield.delta_ns`, perfbench/layers.cpp,
+// prices it over the native in-protocol check of resilient MCS).
 //
 // Shield<L> is the single-mode (kExclusive) user of ShieldCore
 // (shield_core.hpp), which runs the whole pipeline: interception,

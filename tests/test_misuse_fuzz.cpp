@@ -37,19 +37,22 @@ using FuzzParam = std::tuple<std::string, std::uint64_t>;  // lock, seed
 
 class MisuseFuzz : public ::testing::TestWithParam<FuzzParam> {};
 
-TEST_P(MisuseFuzz, RandomScheduleKeepsInvariants) {
-  const auto& [name, seed] = GetParam();
+namespace {
+
+// One storm on a fresh lock: every worker walks `steps` random steps of
+// legitimate episodes and injected unbalanced releases, then I1–I4 are
+// checked. At most `live` workers run at once (ThreadTeam::run_staggered);
+// `live` = `threads` starts them all together.
+void misuse_storm(const std::string& name, std::uint64_t seed,
+                  std::uint32_t threads, int steps, std::uint32_t live) {
   auto lock = make_lock(name, kResilient);
   rv::MutexChecker chk;
   std::atomic<std::uint64_t> balanced_failures{0};
   std::atomic<std::uint64_t> misuse_accepted{0};
-  constexpr std::uint32_t kThreads = 4;
-  constexpr int kSteps = 400;
 
-  runtime::ThreadTeam::run(kThreads, [&, seed = seed,
-                                      name = name](std::uint32_t tid) {
+  const auto worker = [&](std::uint32_t tid) {
     runtime::Xoshiro256ss rng(seed * 1000003 + tid);
-    for (int step = 0; step < kSteps; ++step) {
+    for (int step = 0; step < steps; ++step) {
       switch (rng.bounded(4)) {
         case 0:
         case 1: {  // legitimate episode
@@ -76,7 +79,8 @@ TEST_P(MisuseFuzz, RandomScheduleKeepsInvariants) {
         }
       }
     }
-  });
+  };
+  runtime::ThreadTeam::run_staggered(threads, live, worker);
 
   EXPECT_EQ(chk.max_simultaneous(), 1)
       << name << ": mutual exclusion violated under misuse fuzzing";
@@ -87,6 +91,29 @@ TEST_P(MisuseFuzz, RandomScheduleKeepsInvariants) {
   // I4: one final clean episode.
   lock->acquire();
   EXPECT_TRUE(lock->release());
+}
+
+}  // namespace
+
+TEST_P(MisuseFuzz, RandomScheduleKeepsInvariants) {
+  const auto& [name, seed] = GetParam();
+  misuse_storm(name, seed, /*threads=*/4, /*steps=*/400, /*live=*/4);
+}
+
+// Staggered starts: short-lived workers, a few alive at a time, so a
+// worker's first op (an injected release, one time in four) can load
+// the owner word while the holder is finishing, and its first pid
+// claim can then recycle that holder's pid. A lock that loads its owner
+// word before it claims the caller's pid accepts that release.
+class StaggeredMisuseFuzz : public ::testing::TestWithParam<FuzzParam> {};
+
+TEST_P(StaggeredMisuseFuzz, FirstPidClaimRacesAnExitAndKeepsInvariants) {
+  const auto& [name, seed] = GetParam();
+  for (std::uint64_t round = 0; round < 160; ++round) {
+    misuse_storm(name, seed * 1000 + round, /*threads=*/64, /*steps=*/20,
+                 /*live=*/8);
+    if (HasFailure()) break;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -296,7 +323,20 @@ std::string fuzz_name(const ::testing::TestParamInfo<FuzzParam>& info) {
                                std::to_string(std::get<1>(info.param)));
 }
 
+// The bare registry locks: the shielded ones take ownership from the
+// held-lock table, not from a pid in the lock word.
+std::vector<FuzzParam> staggered_params() {
+  std::vector<FuzzParam> params;
+  for (const auto& name : lock_names()) {
+    if (name.rfind("shield<", 0) != 0) params.emplace_back(name, 1ull);
+  }
+  return params;
+}
+
 }  // namespace
 
 INSTANTIATE_TEST_SUITE_P(AllResilientLocks, MisuseFuzz,
                          ::testing::ValuesIn(fuzz_params()), fuzz_name);
+INSTANTIATE_TEST_SUITE_P(BareResilientLocks, StaggeredMisuseFuzz,
+                         ::testing::ValuesIn(staggered_params()),
+                         fuzz_name);

@@ -18,6 +18,8 @@
 #include <string>
 #include <string_view>
 
+#include <sys/wait.h>
+
 #ifndef RESILOCK_PRELOAD_LIB
 #error "CMake must define RESILOCK_PRELOAD_LIB"
 #endif
@@ -26,6 +28,9 @@
 #endif
 #ifndef RESILOCK_CXX_COMPILER
 #error "CMake must define RESILOCK_CXX_COMPILER"
+#endif
+#ifndef RESILOCK_WORKLOAD_BIN
+#error "CMake must define RESILOCK_WORKLOAD_BIN"
 #endif
 
 namespace {
@@ -538,6 +543,56 @@ TEST(PreloadE2E, RwlockKindPicksTheVariantAndIsCountedExactly) {
 // gets glibc's EDEADLK (35), another thread and another process are
 // refused a read (EBUSY = 16), and the lock reads free again after the
 // unlock.
+namespace {
+
+// The text of `"key":"..."` in the workload's JSON line, or "".
+std::string json_string(const std::string& out, const std::string& key) {
+  const std::string needle = "\"" + key + "\":\"";
+  const std::size_t at = out.find(needle);
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + needle.size();
+  return out.substr(begin, out.find('"', begin) - begin);
+}
+
+// The number after `"key":` in the workload's JSON line, or 0.
+std::uint64_t json_number(const std::string& out, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = out.find(needle);
+  if (at == std::string::npos) return 0;
+  return std::strtoull(out.c_str() + at + needle.size(), nullptr, 10);
+}
+
+}  // namespace
+
+// The paper's headline on the benchmark's app, built with no resilock
+// header: with 1% of its ops an injected unbalanced unlock, the run
+// under the preload exits cleanly with its invariants intact. The bare
+// run is printed, not asserted: it usually corrupts or dies (SIGABRT in
+// glibc's checks, or the app's SIGALRM watchdog on a hang; `timeout`
+// cuts the wait short), and a clean bare run is a lucky schedule.
+TEST(PreloadE2E, WorkloadSurvivesInjectedMisuse) {
+  for (const char* w : {"ledger", "rwcache", "pipeline"}) {
+    SCOPED_TRACE(w);
+    const std::string cmd = std::string(RESILOCK_WORKLOAD_BIN) +
+                            " --workload " + w +
+                            " --threads 3 --duration-ms 500"
+                            " --misuse-rate 0.01";
+    const RunResult bare = run("timeout 5 " + cmd);
+    std::printf("%s bare: exit %d, check \"%s\"\n", w,
+                WEXITSTATUS(bare.exit_code),
+                json_string(bare.out, "check").c_str());
+    const RunResult shielded = run("env " + preload_env() + " " + cmd);
+    EXPECT_EQ(shielded.exit_code, 0) << shielded.out;
+    EXPECT_EQ(json_string(shielded.out, "check"), "ok") << shielded.out;
+    EXPECT_GT(json_number(shielded.out, "misuses_injected"), 0u)
+        << shielded.out;
+    std::printf("%s preload: check \"%s\", %llu misuses injected\n", w,
+                json_string(shielded.out, "check").c_str(),
+                static_cast<unsigned long long>(
+                    json_number(shielded.out, "misuses_injected")));
+  }
+}
+
 TEST(PreloadE2E, ProcessSharedRwlockPassesThroughToGlibc) {
   RunResult r = run("env " + preload_env() + " " +
                     child_bin("preload_rwlock_kinds") + " pshared");

@@ -854,6 +854,74 @@ TEST(Report, ReadsRecordsAndCountsDropsInBothFormats) {
   lockdep::Graph::instance().retire_class(cls);
 }
 
+// Live parity: a run with lockstat and spans on, streamed by the
+// collector to a JSONL file, drops nothing, and the report rebuilt from
+// the file names the class with the waits and acquisitions lockstat
+// counted live. Each thread's records stay under one ring's capacity,
+// so a collector that falls behind cannot lose any.
+TEST(Report, LiveTraceMatchesLockstatAndDropsNothing) {
+  const std::string path = ::testing::TempDir() + "resilock_report_live";
+  const std::string json = path + ".json";
+  std::remove(path.c_str());
+  clear_trace();
+  auto& tb = TraceBuffer::instance();
+  const std::uint64_t dropped0 = tb.dropped();
+  std::uint64_t live_waits = 0, live_acquisitions = 0;
+  {
+    observe::LockstatGuard stats(true);
+    lockdep::SpanTracingGuard spans(true);
+    Collector& c = Collector::instance();
+    c.add_sink(telemetry::make_jsonl_sink(path.c_str()));
+    ASSERT_TRUE(c.start());
+    Shield<TasLock> lock;
+    lock.set_lockdep_label("report.live");
+    constexpr int kHolds = 40;
+    std::atomic<bool> held{false};
+    // One scripted wait (the holder keeps the lock until the other
+    // thread waits on it), then free-running holds on both threads.
+    std::thread holder([&] {
+      lock.acquire();
+      held.store(true, std::memory_order_release);
+      while (lock.waiters() == 0) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      lock.release();
+      for (int i = 0; i < kHolds; ++i) {
+        lock.acquire();
+        lock.release();
+      }
+    });
+    while (!held.load(std::memory_order_acquire)) std::this_thread::yield();
+    for (int i = 0; i < kHolds; ++i) {
+      lock.acquire();
+      lock.release();
+    }
+    holder.join();
+    c.stop();
+    for (const observe::ClassReport& r : observe::LockStat::instance().report()) {
+      if (r.label != "report.live") continue;
+      live_waits = r.contentions;
+      live_acquisitions = r.acquisitions;
+    }
+  }
+  EXPECT_EQ(tb.dropped() - dropped0, 0u);
+  EXPECT_GE(live_waits, 1u);
+  EXPECT_EQ(live_acquisitions, 2u * 40 + 1);
+
+  const ReportRun r = run_report(path, "--json " + json);
+  EXPECT_EQ(r.status, 0) << r.out;
+  EXPECT_NE(r.out.find("report.live"), std::string::npos) << r.out;
+  const std::string doc = slurp(json);
+  EXPECT_NE(doc.find("\"dropped_events\":0}"), std::string::npos) << doc;
+  const std::size_t at = doc.find("{\"label\":\"report.live\"");
+  ASSERT_NE(at, std::string::npos) << doc;
+  const std::string counts = "\"waits\":" + std::to_string(live_waits) +
+                             ",\"acquisitions\":" +
+                             std::to_string(live_acquisitions) + ",";
+  EXPECT_EQ(doc.find(counts, at), doc.find("\"waits\":", at)) << doc;
+  std::remove(path.c_str());
+  std::remove(json.c_str());
+}
+
 TEST(Report, RefusesAVersionOneTrace) {
   const std::string path = ::testing::TempDir() + "resilock_report_v1";
   {
