@@ -72,12 +72,13 @@ class BasicMcsLock {
     }
   }
 
+  // seq_cst, the failed attempt included: a timed waiter's try is the
+  // second half of its Dekker handshake with release() (see there).
   bool try_acquire(QNode& I) {
     I.next.store(nullptr, std::memory_order_relaxed);
     QNode* expected = nullptr;
     if (!tail_.compare_exchange_strong(expected, &I,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_relaxed)) {
+                                       std::memory_order_seq_cst)) {
       return false;
     }
     if constexpr (R == kResilient) {
@@ -96,9 +97,16 @@ class BasicMcsLock {
     }
     QNode* succ = I.next.load(std::memory_order_acquire);
     if (succ == nullptr) {
+      // The one write that frees the lock is a seq_cst RMW, so a gate
+      // that reads its waiter count with a seq_cst load after it needs
+      // no fence (park::TimedGate::after_free): in the single total
+      // order either that load sees a timed waiter's registration, or
+      // the waiter's later seq_cst try_acquire() sees this null. On
+      // x86 both are the same lock cmpxchg as acq_rel. A hand-off
+      // below leaves the lock held, and the successor's release frees.
       QNode* expected = &I;
       if (tail_.compare_exchange_strong(expected, nullptr,
-                                        std::memory_order_acq_rel,
+                                        std::memory_order_seq_cst,
                                         std::memory_order_relaxed)) {
         if constexpr (R == kResilient) {
           I.locked.store(park::kWordGranted, std::memory_order_relaxed);
@@ -125,6 +133,13 @@ class BasicMcsLock {
   // that will never come from the misbehaving thread. Broadcast-wake
   // them; each re-checks its wait word and re-parks or proceeds.
   void misuse_wake() noexcept { bay_.misuse_wake(); }
+
+  // Nobody holds or queues for the lock: a relaxed snapshot of the
+  // tail. Read after a release, it tells a freeing release from a
+  // hand-off (or from a free the next holder already took).
+  bool is_free() const noexcept {
+    return tail_.load(std::memory_order_relaxed) == nullptr;
+  }
 
   std::uint32_t parked_waiters() const noexcept {
     return bay_.parked_count();

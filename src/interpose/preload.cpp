@@ -46,14 +46,17 @@
 // initializer) and builds C-RW-RP for glibc's reader-preference kinds,
 // C-RW-WP for PREFER_WRITER_NONRECURSIVE_NP. A PTHREAD_PROCESS_SHARED
 // rwlock passes through to glibc unadopted, so processes sharing it
-// still exclude each other. Of a mutex's type, only the recursive kind
-// is read (from the lock's own bytes, at each trylock): its owner's
-// trylock is absorbed as a relock and returns 0, where every other kind
-// gets glibc's EBUSY. Otherwise mutex attributes are ignored, as in
-// LiTL (a recursive-attr relock surfaces as the shield's
-// reentrant-relock event; a pshared mutex is adopted per process),
-// PI/robust protocols are not emulated, and fork() without exec() is
-// unsupported (a harness that forks its app exec()s it). The cond clock
+// still exclude each other. A mutex that is PTHREAD_PROCESS_SHARED,
+// robust, or priority-inheritance / priority-protect passes through the
+// same way: other processes, a dead owner's EOWNERDEAD and priority
+// boosts are glibc's to honour, and the stats file counts these by
+// reason. Of an adopted mutex's type, only the recursive kind is read
+// (from the lock's own bytes, at each trylock): its owner's trylock is
+// absorbed as a relock and returns 0, where every other kind gets
+// glibc's EBUSY. Otherwise mutex attributes are ignored, as in LiTL (a
+// recursive-attr relock surfaces as the shield's reentrant-relock
+// event), and fork() without exec() is unsupported (a harness that
+// forks its app exec()s it). The cond clock
 // attribute IS honoured; a CLOCK_REALTIME deadline is re-based onto
 // CLOCK_MONOTONIC once, at the call, so a wall-clock step during the
 // wait does not move it. Cond waits stay cancellation points. A
@@ -254,10 +257,24 @@ int real_rwlock_clockwrlock(pthread_rwlock_t* rw, clockid_t clockid,
   return rc != 0 ? rc : real().rwlock_timedwrlock(rw, &wall);
 }
 
+// glibc's clock variant, or its realtime translation on a libc older
+// than 2.30: what a reentered thread, or any thread operating a
+// pass-through mutex, runs.
+int real_mutex_clocklock(pthread_mutex_t* m, clockid_t clockid,
+                         const timespec* abstime) {
+  if (real().mutex_clocklock != nullptr) {
+    return real().mutex_clocklock(m, clockid, abstime);
+  }
+  timespec wall;
+  const int rc = clock_deadline_to_realtime(clockid, abstime, &wall);
+  return rc != 0 ? rc : real().mutex_timedlock(m, &wall);
+}
+
 // glibc keeps a mutex's type in the lock's own bytes, written by
 // pthread_mutex_init or a static initializer, and never changes it. The
 // low two bits are the kind (glibc's internal PTHREAD_MUTEX_KIND_MASK_NP,
-// nptl/pthreadP.h); the bits above are protocol flags.
+// nptl/pthreadP.h); the bits above are protocol flags, which the
+// registry reads to pass a mutex through.
 bool recursive_kind(const pthread_mutex_t* m) {
   constexpr int kKindMask = 3;
   return (m->__data.__kind & kKindMask) == PTHREAD_MUTEX_RECURSIVE_NP;
@@ -292,22 +309,29 @@ int cond_deadline(clockid_t clockid, const timespec* abstime,
   return 0;
 }
 
+// A wait that releases and re-acquires glibc's own mutex, returning
+// the re-acquire's error (a robust mutex's EOWNERDEAD) as glibc does.
+int cond_wait_glibc(pthread_cond_t* c, pthread_mutex_t* m,
+                    std::uint64_t deadline_mono_ns) {
+  return park::cond_wait(
+      cond_word(c), [m] { return real().mutex_unlock(m); },
+      [m] { return real().mutex_lock(m); }, deadline_mono_ns);
+}
+
 // A wait whose mutex is routed the way the thread's own lock calls
 // are. An app thread goes through the adopted handle, adopting on first
 // sight: a wait on a mutex the caller does not hold is the shield's
 // unbalanced or non-owner unlock, returned as EPERM before any wait. A
-// reentered or pinned thread locks glibc's mutex, so it releases and
-// re-acquires that one. `site` is the app's return address.
+// reentered or pinned thread, or a pass-through mutex, locks glibc's
+// mutex, so the wait releases and re-acquires that one. `site` is the
+// app's return address.
 int cond_wait_routed(pthread_cond_t* c, pthread_mutex_t* m,
                      std::uint64_t deadline_mono_ns, const void* site) {
-  if (ri::preload_reentered()) {
-    return park::cond_wait(
-        cond_word(c), [m] { return real().mutex_unlock(m); },
-        [m] { real().mutex_lock(m); }, deadline_mono_ns);
-  }
+  if (ri::preload_reentered()) return cond_wait_glibc(c, m, deadline_mono_ns);
   ri::PreloadReentryScope guard;
   resilock::observe::InterposedSiteScope scope(site);
   ri::rl_mutex_t* h = reg().mutex_for(m);
+  if (h == nullptr) return cond_wait_glibc(c, m, deadline_mono_ns);
   return park::cond_wait(
       cond_word(c), [h] { return ri::rl_mutex_unlock(h); },
       [h] { ri::rl_mutex_lock(h); }, deadline_mono_ns);
@@ -324,8 +348,9 @@ int cond_wait_routed(pthread_cond_t* c, pthread_mutex_t* m,
 //                                         attributes to the app frame
 //   route through registry + rl_* shim
 //
-// An rwlock the registry passes through (pshared: no handle) goes to
-// glibc from the last step, on every thread.
+// A lock the registry passes through (no handle: a pshared rwlock; a
+// pshared, robust or priority mutex) goes to glibc from the last step,
+// on every thread.
 //
 // The guard must open BEFORE the registry call: adoption itself runs
 // resilock machinery. The pthread_cond_* ones never forward (mechanism
@@ -352,7 +377,8 @@ int pthread_mutex_lock(pthread_mutex_t* m) {
   if (ri::preload_reentered()) return real().mutex_lock(m);
   ri::PreloadReentryScope guard;
   resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
-  return ri::rl_mutex_lock(reg().mutex_for(m));
+  ri::rl_mutex_t* h = reg().mutex_for(m);
+  return h != nullptr ? ri::rl_mutex_lock(h) : real().mutex_lock(m);
 }
 
 int pthread_mutex_trylock(pthread_mutex_t* m) {
@@ -360,6 +386,7 @@ int pthread_mutex_trylock(pthread_mutex_t* m) {
   ri::PreloadReentryScope guard;
   resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
   ri::rl_mutex_t* h = reg().mutex_for(m);
+  if (h == nullptr) return real().mutex_trylock(m);
   return recursive_kind(m) ? ri::rl_mutex_trylock_recursive(h)
                            : ri::rl_mutex_trylock(h);
 }
@@ -368,25 +395,23 @@ int pthread_mutex_timedlock(pthread_mutex_t* m, const timespec* abstime) {
   if (ri::preload_reentered()) return real().mutex_timedlock(m, abstime);
   ri::PreloadReentryScope guard;
   resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
-  return ri::rl_mutex_timedlock(reg().mutex_for(m), abstime);
+  ri::rl_mutex_t* h = reg().mutex_for(m);
+  return h != nullptr ? ri::rl_mutex_timedlock(h, abstime)
+                      : real().mutex_timedlock(m, abstime);
 }
 
 int pthread_mutex_clocklock(pthread_mutex_t* m, clockid_t clockid,
                             const timespec* abstime) {
   if (ri::preload_reentered()) {
-    if (real().mutex_clocklock != nullptr) {
-      return real().mutex_clocklock(m, clockid, abstime);
-    }
-    timespec wall;
-    const int rc = clock_deadline_to_realtime(clockid, abstime, &wall);
-    return rc != 0 ? rc : real().mutex_timedlock(m, &wall);
+    return real_mutex_clocklock(m, clockid, abstime);
   }
   ri::PreloadReentryScope guard;
   resilock::observe::InterposedSiteScope site(RESILOCK_RETURN_ADDRESS());
+  ri::rl_mutex_t* h = reg().mutex_for(m);
+  if (h == nullptr) return real_mutex_clocklock(m, clockid, abstime);
   timespec wall;
   const int rc = clock_deadline_to_realtime(clockid, abstime, &wall);
-  if (rc != 0) return rc;
-  return ri::rl_mutex_timedlock(reg().mutex_for(m), &wall);
+  return rc != 0 ? rc : ri::rl_mutex_timedlock(h, &wall);
 }
 
 int pthread_mutex_unlock(pthread_mutex_t* m) {
@@ -396,15 +421,18 @@ int pthread_mutex_unlock(pthread_mutex_t* m) {
   // Unlock of a never-seen address still adopts: the shield then
   // reports it as a non-owner unlock (errorcheck EPERM) instead of
   // letting glibc corrupt — that IS the misuse class under test.
-  return ri::rl_mutex_unlock(reg().mutex_for(m));
+  ri::rl_mutex_t* h = reg().mutex_for(m);
+  return h != nullptr ? ri::rl_mutex_unlock(h) : real().mutex_unlock(m);
 }
 
 int pthread_mutex_destroy(pthread_mutex_t* m) {
   if (ri::preload_reentered()) return real().mutex_destroy(m);
   ri::PreloadReentryScope guard;
+  // A pass-through mutex is glibc's, so glibc's answer is the one.
+  const bool adopted = reg().find_mutex(m) != nullptr;
   const int rc = reg().destroy_mutex(m);
-  real().mutex_destroy(m);
-  return rc;
+  const int glibc_rc = real().mutex_destroy(m);
+  return adopted ? rc : glibc_rc;
 }
 
 int pthread_rwlock_init(pthread_rwlock_t* rw,
@@ -591,13 +619,19 @@ __attribute__((destructor)) void preload_dtor() {
       std::fprintf(
           f,
           "{\"adopted_mutexes\":%llu,\"init_mutexes\":%llu,"
-          "\"destroyed_mutexes\":%llu,\"adopted_rwlocks\":%llu,"
+          "\"destroyed_mutexes\":%llu,\"mutexes_robust\":%llu,"
+          "\"mutexes_prio_inherit\":%llu,\"mutexes_prio_protect\":%llu,"
+          "\"mutexes_pshared\":%llu,\"adopted_rwlocks\":%llu,"
           "\"init_rwlocks\":%llu,\"destroyed_rwlocks\":%llu,"
           "\"rwlocks_reader_pref\":%llu,\"rwlocks_writer_pref\":%llu,"
           "\"rwlocks_passthrough\":%llu,\"live_nodes\":%llu}\n",
           static_cast<unsigned long long>(s.adopted_mutexes),
           static_cast<unsigned long long>(s.init_mutexes),
           static_cast<unsigned long long>(s.destroyed_mutexes),
+          static_cast<unsigned long long>(s.mutexes_robust),
+          static_cast<unsigned long long>(s.mutexes_prio_inherit),
+          static_cast<unsigned long long>(s.mutexes_prio_protect),
+          static_cast<unsigned long long>(s.mutexes_pshared),
           static_cast<unsigned long long>(s.adopted_rwlocks),
           static_cast<unsigned long long>(s.init_rwlocks),
           static_cast<unsigned long long>(s.destroyed_rwlocks),

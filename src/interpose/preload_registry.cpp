@@ -29,17 +29,44 @@ constexpr int kTombstone = 0;
 constexpr int kLive = 1;
 constexpr int kPassThrough = 2;  // glibc keeps the lock; no handle
 
-// What a Traits::classify returns for a lock glibc must keep.
-constexpr int kGlibcKeeps = -1;
+// A Traits decides what adoption builds. classify(addr) reads the app's
+// lock and returns an outcome in [0, kOutcomes): below kBuilt, the kind
+// of handle make(h, kind) constructs (nonzero on failure); from kBuilt
+// on, the reason glibc keeps the lock (no handle, every operation
+// forwarded).
 
-// A Traits decides what adoption builds: classify(addr) reads the app's
-// lock and returns a kind in [0, kKinds), or kGlibcKeeps; make(h, kind)
-// constructs the handle for that kind, nonzero on failure.
+// glibc keeps a mutex's type in the lock's own bytes, written by
+// pthread_mutex_init or a static initializer, and never changes it. The
+// bits above the low two (the type) are protocol flags, glibc-internal
+// (nptl/pthreadP.h): ROBUST_NORMAL_NP 16, PRIO_INHERIT_NP 32,
+// PRIO_PROTECT_NP 64, PSHARED_BIT 128. A mutex with any of them stays
+// glibc's: the shield cannot report a dead owner, boost a priority or
+// exclude another process. glibc sets the pshared bit on every robust
+// mutex too, so the reasons are tested in this order.
 struct MutexTraits {
   using Handle = rl_mutex_t;
   static constexpr const char* kKind = "mutex";
-  static constexpr int kKinds = 1;
-  static int classify(const void*) { return 0; }
+  enum Outcome {
+    kShielded,
+    kBuilt,
+    kRobust = kBuilt,
+    kPrioInherit,
+    kPrioProtect,
+    kPshared,
+    kOutcomes
+  };
+
+  static int classify(const void* addr) {
+    const int kind = static_cast<const pthread_mutex_t*>(addr)->__data.__kind;
+    // glibc's destroy stores -1; a lock on it is the app's UB, which the
+    // shield has always taken in.
+    if (kind < 0) return kShielded;
+    if ((kind & 16) != 0) return kRobust;
+    if ((kind & 32) != 0) return kPrioInherit;
+    if ((kind & 64) != 0) return kPrioProtect;
+    if ((kind & 128) != 0) return kPshared;
+    return kShielded;
+  }
   static int make(Handle* h, int) { return rl_mutex_init(h, nullptr, 1); }
   static void destroy(Handle* h) { rl_mutex_destroy(h); }
 };
@@ -58,12 +85,19 @@ struct RwlockTraits {
   // The C-RW variants, named by their rl_rwlock_init preference. The
   // registry counts adoptions by the variant built, so the counts say
   // what runs (classify never picks C-RW-NP).
-  enum Variant { kNeutral, kReaderPref, kWriterPref, kKinds };
-  static constexpr const char* kPreference[kKinds] = {"np", "rp", "wp"};
+  enum Outcome {
+    kNeutral,
+    kReaderPref,
+    kWriterPref,
+    kBuilt,
+    kPshared = kBuilt,
+    kOutcomes
+  };
+  static constexpr const char* kPreference[kBuilt] = {"np", "rp", "wp"};
 
   static int classify(const void* addr) {
     const auto& d = static_cast<const pthread_rwlock_t*>(addr)->__data;
-    if (d.__shared != 0) return kGlibcKeeps;
+    if (d.__shared != 0) return kPshared;
     return d.__flags == PTHREAD_RWLOCK_PREFER_WRITER_NONRECURSIVE_NP
                ? kWriterPref
                : kReaderPref;
@@ -131,9 +165,9 @@ class Table {
   std::uint64_t inits() const noexcept { return load(inits_); }
   std::uint64_t destroyed() const noexcept { return load(destroyed_); }
   std::uint64_t nodes() const noexcept { return load(nodes_); }
-  std::uint64_t built(int kind) const noexcept { return load(built_[kind]); }
-  std::uint64_t passed_through() const noexcept {
-    return load(passed_through_);
+  // Adoptions and inits by classify()'s outcome.
+  std::uint64_t outcome(int kind) const noexcept {
+    return load(outcomes_[kind]);
   }
 
  private:
@@ -213,8 +247,8 @@ class Table {
   // Caller holds the bucket lock; node state is kTombstone.
   void make_handle(N* n) {
     const int kind = Traits::classify(n->key);
-    if (kind == kGlibcKeeps) {
-      passed_through_.fetch_add(1, std::memory_order_relaxed);
+    outcomes_[kind].fetch_add(1, std::memory_order_relaxed);
+    if (kind >= Traits::kBuilt) {
       n->state.store(kPassThrough, std::memory_order_release);
       return;
     }
@@ -230,7 +264,6 @@ class Table {
         std::abort();
       }
     }
-    built_[kind].fetch_add(1, std::memory_order_relaxed);
     n->state.store(kLive, std::memory_order_release);
   }
 
@@ -239,8 +272,7 @@ class Table {
   std::atomic<std::uint64_t> inits_{0};    // eager init routes
   std::atomic<std::uint64_t> destroyed_{0};
   std::atomic<std::uint64_t> nodes_{0};
-  std::atomic<std::uint64_t> built_[Traits::kKinds] = {};
-  std::atomic<std::uint64_t> passed_through_{0};
+  std::atomic<std::uint64_t> outcomes_[Traits::kOutcomes] = {};
 };
 
 }  // namespace
@@ -295,9 +327,13 @@ PreloadRegistryStats PreloadRegistry::stats() const noexcept {
   s.adopted_rwlocks = rw.adopted();
   s.init_rwlocks = rw.inits();
   s.destroyed_rwlocks = rw.destroyed();
-  s.rwlocks_reader_pref = rw.built(RwlockTraits::kReaderPref);
-  s.rwlocks_writer_pref = rw.built(RwlockTraits::kWriterPref);
-  s.rwlocks_passthrough = rw.passed_through();
+  s.mutexes_robust = m.outcome(MutexTraits::kRobust);
+  s.mutexes_prio_inherit = m.outcome(MutexTraits::kPrioInherit);
+  s.mutexes_prio_protect = m.outcome(MutexTraits::kPrioProtect);
+  s.mutexes_pshared = m.outcome(MutexTraits::kPshared);
+  s.rwlocks_reader_pref = rw.outcome(RwlockTraits::kReaderPref);
+  s.rwlocks_writer_pref = rw.outcome(RwlockTraits::kWriterPref);
+  s.rwlocks_passthrough = rw.outcome(RwlockTraits::kPshared);
   s.live_nodes = m.nodes() + rw.nodes();
   return s;
 }

@@ -24,9 +24,11 @@
 // An rwlock is adopted as the C-RW variant its glibc kind asks for
 // (C-RW-RP for the reader-preference kinds, C-RW-WP for
 // PREFER_WRITER_NONRECURSIVE_NP), read from the lock's own bytes. A
-// PTHREAD_PROCESS_SHARED rwlock gets a pass-through node with no
-// handle: another process may operate on the same bytes, so the caller
-// forwards every operation on it to glibc.
+// PTHREAD_PROCESS_SHARED rwlock, and a mutex that is pshared, robust or
+// priority-inheritance / priority-protect, gets a pass-through node
+// with no handle: another process may operate on the same bytes, or
+// glibc owes the caller a dead owner's EOWNERDEAD or a priority boost,
+// so the caller forwards every operation on it to glibc.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +41,12 @@ struct PreloadRegistryStats {
   std::uint64_t adopted_mutexes = 0;   // lazy adoptions (static init path)
   std::uint64_t init_mutexes = 0;      // eager pthread_mutex_init routes
   std::uint64_t destroyed_mutexes = 0;
+  // Mutex adoptions and inits left to glibc, by reason; a handle's
+  // kind is tested in this order, so each counts once.
+  std::uint64_t mutexes_robust = 0;        // PTHREAD_MUTEX_ROBUST
+  std::uint64_t mutexes_prio_inherit = 0;  // PTHREAD_PRIO_INHERIT
+  std::uint64_t mutexes_prio_protect = 0;  // PTHREAD_PRIO_PROTECT
+  std::uint64_t mutexes_pshared = 0;       // PTHREAD_PROCESS_SHARED
   std::uint64_t adopted_rwlocks = 0;   // pass-through ones included
   std::uint64_t init_rwlocks = 0;
   std::uint64_t destroyed_rwlocks = 0;
@@ -57,20 +65,22 @@ class PreloadRegistry {
   static PreloadRegistry& instance();
 
   // The handle for `addr`, adopting (the shim's shield<MCS>) when the
-  // address is unknown or tombstoned.
-  // Exactly-once under arbitrary concurrency. Never returns nullptr —
-  // allocation failure during adoption aborts (a lock operation has no
-  // error path that could express it).
+  // address is unknown or tombstoned; nullptr for a pass-through mutex.
+  // `addr` must point at a glibc-initialized (or zeroed)
+  // pthread_mutex_t: its kind is read at adoption. Exactly-once under
+  // arbitrary concurrency. Allocation failure during adoption aborts (a
+  // lock operation has no error path that could express it).
   rl_mutex_t* mutex_for(const void* addr);
 
-  // nullptr when the address was never adopted (or is tombstoned) —
-  // the query the preload's pthread_mutex_destroy uses.
+  // nullptr when the address was never adopted (or is tombstoned, or
+  // passed through).
   rl_mutex_t* find_mutex(const void* addr);
 
   // Eager registration for an intercepted pthread_mutex_init: creates
-  // (or revives) the handle. A live handle at the same address is
-  // destroyed and replaced — re-initializing an in-use mutex is UB the
-  // caller owns; honoring the re-init keeps us faithful.
+  // (or revives) the handle, nullptr for a pass-through mutex. A live
+  // handle at the same address is destroyed and replaced —
+  // re-initializing an in-use mutex is UB the caller owns; honoring the
+  // re-init keeps us faithful.
   rl_mutex_t* init_mutex(const void* addr);
 
   // Tombstones the handle; 0, or EBUSY when the address is unknown

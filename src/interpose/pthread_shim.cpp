@@ -23,8 +23,8 @@ using ShieldedMcs = shield::Shield<BasicMcsLock<kResilient>>;
 
 // The C handle owns the lock plus a TimedGate: the timed entry points
 // wait on the gate's epoch word (outside the queue protocol, where a
-// waiter CAN abandon its wait), and every successful unlock kicks the
-// gate so timed waiters re-try.
+// waiter CAN abandon its wait), and every unlock that frees the lock
+// kicks the gate so timed waiters re-try.
 struct MutexHandle {
   MutexHandle() { lock.set_lockdep_label("shield<MCS>"); }
 
@@ -99,7 +99,10 @@ int rl_mutex_unlock(rl_mutex_t* m) {
   if (m == nullptr || m->impl == nullptr) return EINVAL;
   MutexHandle* h = impl_of(m);
   if (!h->lock.release()) return EPERM;  // errorcheck semantics
-  h->gate.on_release();
+  // Only a release that freed the lock wakes timed waiters (see
+  // TimedGate::after_free); a hand-off or an absorbed relock's release
+  // leaves it held.
+  if (h->lock.base().is_free()) h->gate.after_free();
   return 0;
 }
 
@@ -250,6 +253,7 @@ int rl_rwlock_unlock(rl_rwlock_t* rw) {
   if (rw == nullptr || rw->impl == nullptr) return EINVAL;
   RwAny* h = rw_impl_of(rw);
   if (!h->unlock()) return EPERM;
+  // The writer side frees the lock with a plain store: the fenced hook.
   h->gate.on_release();
   return 0;
 }

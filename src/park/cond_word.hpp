@@ -53,6 +53,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
+#include <type_traits>
 
 #include "park/futex.hpp"
 #include "platform/chrono_to_timespec.hpp"
@@ -134,10 +135,12 @@ inline void cond_broadcast(CondWord& cw) {
 }
 
 // Waits on `cw`. `release()` drops the caller's mutex and returns 0 or
-// an error code; `reacquire()` takes it back. Returns 0 on a wake
+// an error code; `reacquire()` takes it back, and may return an error
+// code of its own (a robust mutex's EOWNERDEAD). Returns 0 on a wake
 // (spurious wakes included, as POSIX allows), ETIMEDOUT once the
 // absolute CLOCK_MONOTONIC deadline passes (kNsInfinite: no deadline),
-// or release()'s error without waiting or re-acquiring.
+// reacquire()'s nonzero code over either, or release()'s error without
+// waiting or re-acquiring.
 template <typename Release, typename Reacquire>
 int cond_wait(CondWord& cw, Release&& release, Reacquire&& reacquire,
               std::uint64_t deadline_mono_ns = platform::kNsInfinite) {
@@ -180,8 +183,13 @@ int cond_wait(CondWord& cw, Release&& release, Reacquire&& reacquire,
   }
   cancel_exit.armed = false;
   cond_detail::depart(cw);
-  reacquire();
-  return rc;
+  if constexpr (std::is_void_v<decltype(reacquire())>) {
+    reacquire();
+    return rc;
+  } else {
+    const int relocked = reacquire();
+    return relocked != 0 ? relocked : rc;
+  }
 }
 
 // pthread_cond_destroy: returns once every registered waiter has

@@ -321,18 +321,34 @@ bool park_until(const std::atomic<std::uint32_t>& word,
 // adds no lockdep edge (the try path never records one).
 class TimedGate {
  public:
-  // Release-side hook: call after the underlying lock is released.
-  // Cheap when nobody is in a timed wait (one fence + one load).
+  // Both hooks run after the underlying lock is released and wake the
+  // timed waiters only when some are registered. The handshake is a
+  // Dekker with acquire_until: the waiter increments waiters_ and then
+  // re-tries the lock; the releaser frees the lock and then reads
+  // waiters_. At least one side must see the other: either the retry
+  // wins the lock, or the releaser sees waiters_ != 0 and wakes.
+
+  // For a lock freed by a plain store (the C-RW writer side): the fence
+  // orders that store before the waiters_ read.
   void on_release() noexcept {
-    // Dekker with acquire_until's waiter registration: the waiter
-    // increments waiters_ then re-tries the lock; we release the lock
-    // then read waiters_. The fences make at least one side see the
-    // other — either the waiter's retry wins the lock, or we see
-    // waiters_ != 0 and wake.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (waiters_.load(std::memory_order_relaxed) == 0) return;
-    epoch_.fetch_add(1, std::memory_order_release);
-    futex_wake_all(&epoch_);
+    wake();
+  }
+
+  // For a lock whose freeing write and whose try-acquire are both
+  // seq_cst RMWs (the MCS tail CAS, core/mcs.hpp): one seq_cst load,
+  // no fence. The freeing RMW, this load, the waiter's registration
+  // and its try are all in the single total order S, and each side's
+  // pair is ordered in S as in its program. If this load precedes the
+  // registration in S, the free precedes the try, so the try reads the
+  // freed tail (or a later holder's, whose own free then sees the
+  // registration); otherwise this load reads it. Call it only after a
+  // release that freed the lock: a hand-off leaves the lock held, and
+  // the release that frees it later runs the check.
+  void after_free() noexcept {
+    if (waiters_.load(std::memory_order_seq_cst) == 0) return;
+    wake();
   }
 
   // Runs `try_lock` until it succeeds or the CLOCK_MONOTONIC deadline
@@ -362,6 +378,11 @@ class TimedGate {
   }
 
  private:
+  void wake() noexcept {
+    epoch_.fetch_add(1, std::memory_order_release);
+    futex_wake_all(&epoch_);
+  }
+
   std::atomic<std::uint32_t> epoch_{0};
   std::atomic<std::uint32_t> waiters_{0};
 };

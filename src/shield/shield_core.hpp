@@ -28,16 +28,24 @@
 // wakes nobody.
 //
 // Layout: a lock hand-off costs the new holder the base's own lines
-// plus at most ONE more, the holder line right after base_: owner tags,
-// the context the base was acquired with and whether the pool lent it,
-// the lockdep class and its key, and the acquisition / release tallies
-// (plain stores, ordered by the base). A base that claims whole cache
-// lines (alignas) gets a fresh line for it; a word-sized base (TAS)
-// shares it, since its holder writes that word anyway. Everything any
-// other thread writes — the waiter gauge that arriving threads bump,
-// the policy, the verdict and misuse counters — sits on the cold
-// line(s) after it, so waiters and a correct program's holders never
-// write the same line.
+// plus at most ONE more, and for a single-line base none. The holder
+// words — owner tags, the context the base was acquired with (the low
+// bit says whether the pool lent it), and the acquisition / release
+// tallies, 32 bytes of plain stores ordered by the base — follow base_,
+// which is [[no_unique_address]] so they may sit in its tail padding:
+//   * a one-line base whose data leaves 32 bytes of the line (the MCS
+//     tail and its park bay fill 32) takes them there, 32-aligned, so
+//     an uncontended hold dirties one line, the one its tail CAS
+//     already owns;
+//   * a word-sized base (TAS) shares the holder words' line, since its
+//     holder writes that word anyway;
+//   * any other base, and every read/write base (the rwlock's read path
+//     is measured on its own), gets a fresh line for them.
+// Everything any other thread writes — the waiter gauge that arriving
+// threads bump, the policy, the verdict and misuse counters — sits on
+// the cold line(s) after them, and the read-mostly lockdep class, key
+// and label come last, so waiters and a correct program's holders
+// never write the same line beyond the base's own.
 //
 // A base with a ReadIndicator (the C-RW family, core/rw/crw.hpp) makes
 // this a read/write core: its trace events carry the hold mode and the
@@ -59,6 +67,7 @@
 #include "core/context_pool.hpp"
 #include "core/generic.hpp"
 #include "core/resilience.hpp"
+#include "core/verify_access.hpp"
 #include "lockdep/class_key.hpp"
 #include "lockdep/lockdep.hpp"
 #include "observe/lockstat.hpp"
@@ -161,22 +170,31 @@ class ShieldCore {
  protected:
   using Event = response::ResponseEvent;
   static constexpr std::uint32_t kNoOwner = 0;
-  // Where the holder line starts (see the layout note at the top).
-  static constexpr std::size_t kHolderAlign =
-      alignof(Base) >= platform::kCacheLineSize
-          ? platform::kCacheLineSize
-          : alignof(std::atomic<std::uint32_t>);
   static constexpr bool kReadWrite =
       requires(const Base& b) { b.indicator().approx_readers(); };
+  // The holder words' size, and their alignment when they may share the
+  // base's line (see the layout note at the top).
+  static constexpr std::size_t kHolderBytes = 32;
+  struct TailProbe {
+    [[no_unique_address]] Base base;
+    alignas(kHolderBytes) char holder[kHolderBytes];
+  };
+  static constexpr bool kFitsBaseLine =
+      sizeof(Base) == platform::kCacheLineSize &&
+      sizeof(TailProbe) == sizeof(Base);
+  static constexpr std::size_t kHolderAlign =
+      alignof(Base) < platform::kCacheLineSize ? alignof(std::uint32_t)
+      : !kReadWrite && kFitsBaseLine           ? kHolderBytes
+                                               : platform::kCacheLineSize;
 
   template <typename... Args>
   explicit ShieldCore(const ShieldSetup& setup, Args&&... args)
       : base_(std::forward<Args>(args)...),
+        policy_(setup.policy.value_or(default_shield_policy())),
+        policy_explicit_(setup.policy.has_value()),
         class_mode_(setup.classes),
         lockdep_key_(setup.key),
-        lockdep_label_(setup.label),
-        policy_(setup.policy.value_or(default_shield_policy())),
-        policy_explicit_(setup.policy.has_value()) {}
+        lockdep_label_(setup.label) {}
 
   ~ShieldCore() {
     // A keyed class belongs to the key (other instances may still use
@@ -188,6 +206,10 @@ class ShieldCore {
   }
 
   static std::uint32_t me() { return platform::self_pid() + 1; }
+
+  // hold_ctx_'s tag for a context the pool lent.
+  static constexpr std::uintptr_t kLentBit = 1;
+  static_assert(kStatelessContext<Context> || alignof(Context) > kLentBit);
 
   // Live readers per the base's ReadIndicator; 0 for a mutex.
   std::uint32_t readers() const {
@@ -261,8 +283,7 @@ class ShieldCore {
       // A stateless context is never retained; a real base context is
       // what the release must hand back (see keep_if_taken()).
       if constexpr (!kStatelessContext<Context>) {
-        active_ctx_ = &ctx;
-        ctx_lent_ = false;
+        hold_ctx_ = reinterpret_cast<std::uintptr_t>(&ctx);
       }
       acquisitions_.bump();
     }
@@ -285,8 +306,8 @@ class ShieldCore {
   // relock gives it back at once.
   void keep_if_taken(Context& ctx) {
     if constexpr (!kStatelessContext<Context>) {
-      if (active_ctx_ == &ctx) {
-        ctx_lent_ = true;
+      if (hold_ctx_ == reinterpret_cast<std::uintptr_t>(&ctx)) {
+        hold_ctx_ |= kLentBit;
       } else {
         ContextPool<Context>::reclaim(ctx);
       }
@@ -310,9 +331,10 @@ class ShieldCore {
     if constexpr (kStatelessContext<Context>) {
       return release_unheld(caller, op);
     } else {
-      // Read before the base release: the next holder rewrites both.
-      Context* const acquired_with = std::exchange(active_ctx_, nullptr);
-      const bool lent = ctx_lent_;
+      // Read before the base release: the next holder rewrites it.
+      const std::uintptr_t held = std::exchange(hold_ctx_, 0);
+      auto* const acquired_with = reinterpret_cast<Context*>(held & ~kLentBit);
+      const bool lent = (held & kLentBit) != 0;
       if (acquired_with == nullptr) return release_unheld(caller, op);
       const bool ok = op(*acquired_with);
       if (lent) ContextPool<Context>::reclaim(*acquired_with);
@@ -371,29 +393,23 @@ class ShieldCore {
     return false;
   }
 
-  Base base_;
+  [[no_unique_address]] Base base_;
 
-  // -- the holder line: written by the exclusive / write holder only --
+  // -- the holder words: written by the exclusive / write holder only --
   // Owner tags (pid+1) of the exclusive / write side, for release
   // classification and contention — the held record, not these words,
   // decides balanced vs unbalanced.
   alignas(kHolderAlign) std::atomic<std::uint32_t> owner_{kNoOwner};
   std::atomic<std::uint32_t> last_owner_{kNoOwner};
-  // Registered on first tracked acquire, retired on destruction unless
-  // keyed (the key owns a shared class).
-  std::atomic<lockdep::ClassId> lockdep_class_{lockdep::kInvalidClass};
-  const ClassMode class_mode_;
   // Context the base was acquired with on the exclusive / write side,
-  // and whether the pool lent it. Only the owner touches them between
-  // the base acquire and the matching base release (guarded by base_);
-  // §5 hand-off releases bypass them.
-  bool ctx_lent_ = false;
-  Context* active_ctx_ = nullptr;
+  // or'ed with kLentBit when the pool lent it (contexts are at least
+  // 2-aligned); 0 when none. Only the owner touches it between the base
+  // acquire and the matching base release (guarded by base_); §5
+  // hand-off releases bypass it.
+  std::uintptr_t hold_ctx_ = 0;
   // Exclusive / write-side base grants, and releases (incl. absorbed).
   Tally acquisitions_;
   Tally releases_;
-  lockdep::LockClassKey* const lockdep_key_;
-  const char* lockdep_label_;
 
   // -- the cold line(s): waiters, policy, verdict and misuse counts ----
   // Live waiter gauge + cumulative contended-acquire count.
@@ -403,8 +419,17 @@ class ShieldCore {
   // set_policy): the verdict pipeline then never overrides it.
   std::atomic<bool> policy_explicit_;
   ShieldCounters counters_;
+  // -- read-mostly: the lockdep class, written once --
+  const ClassMode class_mode_;
+  // Registered on first tracked acquire, retired on destruction unless
+  // keyed (the key owns a shared class).
+  std::atomic<lockdep::ClassId> lockdep_class_{lockdep::kInvalidClass};
+  lockdep::LockClassKey* const lockdep_key_;
+  const char* lockdep_label_;
 
  private:
+  friend struct resilock::VerifyAccess;  // layout checks
+
   // Records the misuse and runs the verdict pipeline; true means
   // suppressed (see refuse_release). Only a release-side misuse
   // fires the rescue wake.

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 #include "core/abql.hpp"
@@ -21,6 +22,7 @@
 #include "core/mcs.hpp"
 #include "core/mcs_k42.hpp"
 #include "core/ticket.hpp"
+#include "shield/shield_core.hpp"
 
 namespace resilock {
 
@@ -130,6 +132,29 @@ struct VerifyAccess {
   template <Resilience R, typename G, typename L>
   static G& cohort_global(CohortLock<R, G, L>& c) {
     return c.global_;
+  }
+
+  // ----- Shield layout -----
+  // Byte offsets of a shield's fields from the start of the shield.
+  struct ShieldLayout {
+    std::size_t owner, last_owner, hold_ctx, acquisitions, releases;
+    std::size_t waiters, policy, class_id, counters;
+  };
+  template <typename Base, typename Ctx>
+  static ShieldLayout shield_layout(const shield::ShieldCore<Base, Ctx>& s) {
+    const auto at = [&s](const void* field) {
+      return static_cast<std::size_t>(static_cast<const char*>(field) -
+                                      reinterpret_cast<const char*>(&s));
+    };
+    return {at(&s.owner_),        at(&s.last_owner_), at(&s.hold_ctx_),
+            at(&s.acquisitions_), at(&s.releases_),   at(&s.contention_),
+            at(&s.policy_),       at(&s.lockdep_class_), at(&s.counters_)};
+  }
+  // Offset of an MCS lock's tail word within it.
+  template <Resilience R>
+  static std::size_t mcs_tail_offset(const BasicMcsLock<R>& l) {
+    return static_cast<std::size_t>(reinterpret_cast<const char*>(&l.tail_) -
+                                    reinterpret_cast<const char*>(&l));
   }
 };
 

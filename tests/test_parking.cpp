@@ -12,6 +12,7 @@
 //   * lockstat park attribution and the parked>=N response condition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
@@ -643,6 +644,60 @@ TEST(ShimTimedlock, WokenByUnlockBeforeDeadline) {
   EXPECT_EQ(interpose::rl_mutex_unlock(&m), 0);
   t.join();
   EXPECT_TRUE(acquired.load());
+  EXPECT_EQ(interpose::rl_mutex_destroy(&m), 0);
+}
+
+// The mutex unlock wakes timed waiters with no fence: the MCS release's
+// seq_cst tail CAS and the gate's seq_cst load carry the handshake with
+// the waiter's registration and seq_cst try (TimedGate::after_free).
+// Each round a holder takes the lock, a timed waiter arrives, and the
+// holder's one release after a short random hold must get the waiter
+// in: the holder releases nothing more until it does, so a lost wake
+// would leave the waiter asleep until its deadline.
+TEST(TimedGateStress, EveryFreeingUnlockReachesTheTimedWaiter) {
+  ParkingGuard park(true);
+  interpose::rl_mutex_t m{};
+  ASSERT_EQ(interpose::rl_mutex_init(&m, nullptr, 1), 0);
+  constexpr int kRounds = 2000;
+  std::atomic<int> held{0};
+  std::atomic<int> taken{0};
+  std::thread holder([&] {
+    std::minstd_rand rng(7);
+    for (int r = 1; r <= kRounds; ++r) {
+      EXPECT_EQ(interpose::rl_mutex_lock(&m), 0);
+      held.store(r, std::memory_order_release);
+      for (int i = static_cast<int>(rng() % 2000); i > 0; --i) {
+        platform::cpu_relax();
+      }
+      EXPECT_EQ(interpose::rl_mutex_unlock(&m), 0);
+      while (taken.load(std::memory_order_acquire) < r) {
+        std::this_thread::yield();
+      }
+    }
+  });
+  // A hold is at most a few microseconds; a lost wake costs the whole
+  // 3 s deadline. The bound leaves room for a loaded or sanitized run.
+  constexpr std::uint64_t kLostWakeNs = 1000ull * 1000000ull;
+  for (int r = 1; r <= kRounds; ++r) {
+    while (held.load(std::memory_order_acquire) < r) {
+      std::this_thread::yield();
+    }
+    const timespec abs = realtime_in_ms(3000);
+    const std::uint64_t t0 = platform::monotonic_now_ns();
+    const int rc = interpose::rl_mutex_timedlock(&m, &abs);
+    const std::uint64_t waited_ns = platform::monotonic_now_ns() - t0;
+    EXPECT_EQ(rc, 0) << "round " << r;
+    if (rc == 0) {
+      EXPECT_EQ(interpose::rl_mutex_unlock(&m), 0);
+    }
+    if (waited_ns >= kLostWakeNs) {
+      ADD_FAILURE() << "round " << r << " waited " << waited_ns << " ns";
+      taken.store(kRounds, std::memory_order_release);  // stop the holder
+      break;
+    }
+    taken.store(r, std::memory_order_release);
+  }
+  holder.join();
   EXPECT_EQ(interpose::rl_mutex_destroy(&m), 0);
 }
 

@@ -91,6 +91,7 @@ const std::string& child_bin(const std::string& name) {
   static Built rwlock_kinds = build("preload_rwlock_kinds");
   static Built misuse_exit = build("preload_misuse_exit");
   static Built chain_child = build("preload_chain_child");
+  static Built mutex_kinds = build("preload_mutex_kinds");
   static const Built none{"", false};
   const Built& b = name == "preload_child"         ? child
                    : name == "preload_static_init" ? static_init
@@ -100,6 +101,7 @@ const std::string& child_bin(const std::string& name) {
                    : name == "preload_rwlock_kinds" ? rwlock_kinds
                    : name == "preload_misuse_exit" ? misuse_exit
                    : name == "preload_chain_child" ? chain_child
+                   : name == "preload_mutex_kinds" ? mutex_kinds
                                                    : none;
   EXPECT_TRUE(b.ok) << "failed to compile child " << name;
   return b.path;
@@ -608,4 +610,64 @@ TEST(PreloadE2E, ProcessSharedRwlockPassesThroughToGlibc) {
   EXPECT_NE(r.out.find("pshared-released-tryrdlock=0\n"), std::string::npos)
       << r.out;
   EXPECT_NE(r.out.find("pshared-destroy=0\n"), std::string::npos) << r.out;
+}
+
+// A PTHREAD_PROCESS_SHARED mutex in MAP_SHARED memory stays glibc's:
+// a hold is glibc's own owner word, a mutex another process holds is
+// refused here (EBUSY = 16) until that process unlocks it, and two
+// processes counting under it lose no update. Adopted per process, it
+// excluded nothing across the fork.
+TEST(PreloadE2E, ProcessSharedMutexExcludesAcrossProcesses) {
+  RunResult r = run("env " + preload_env() + " " +
+                    child_bin("preload_mutex_kinds") + " pshared");
+  EXPECT_EQ(r.exit_code, 0) << r.out;
+  EXPECT_NE(r.out.find("pshared-owner=ok\n"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("pshared-other-process-held-trylock=16\n"),
+            std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("pshared-holder-exit=0\n"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("pshared-released-trylock=0\n"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("pshared-count=ok\n"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("pshared-destroy=0\n"), std::string::npos) << r.out;
+}
+
+// A robust mutex whose holder thread exited is glibc's EOWNERDEAD (130)
+// to the next trylock and lock, and works again after
+// pthread_mutex_consistent, a cond wait included. Adopted, the dead
+// owner's hold wedged it: EBUSY, then a lock that never returns (the
+// timeout cuts it short).
+TEST(PreloadE2E, RobustMutexReportsADeadOwner) {
+  RunResult r = run("timeout 20 env " + preload_env() + " " +
+                    child_bin("preload_mutex_kinds") + " robust");
+  EXPECT_EQ(r.exit_code, 0) << r.out;
+  for (const char* line :
+       {"robust-dead-owner-trylock=130\n", "robust-consistent=0\n",
+        "robust-unlock=0\n", "robust-dead-owner-lock=130\n",
+        "robust-timedwait=110\n", "robust-unlock-again=0\n",
+        "robust-destroy=0\n"}) {
+    EXPECT_NE(r.out.find(line), std::string::npos) << line << r.out;
+  }
+}
+
+// The stats file counts the mutexes left to glibc by reason: one
+// robust, one priority-inheritance and one pshared; the default mutex
+// is adopted.
+TEST(PreloadE2E, PassThroughMutexesAreCountedByReason) {
+  const std::string stats =
+      ::testing::TempDir() + "preload_stats_mutexkinds.json";
+  std::remove(stats.c_str());
+  RunResult r = run("env " + preload_env() +
+                    " RESILOCK_PRELOAD_STATS_FILE=" + stats + " " +
+                    child_bin("preload_mutex_kinds") + " kinds");
+  EXPECT_EQ(r.exit_code, 0) << r.out;
+  EXPECT_NE(r.out.find("kinds-exercised=ok\n"), std::string::npos)
+      << r.out;
+  const std::string s = slurp(stats);
+  EXPECT_NE(s.find("\"mutexes_robust\":1,"), std::string::npos) << s;
+  EXPECT_NE(s.find("\"mutexes_prio_inherit\":1,"), std::string::npos) << s;
+  EXPECT_NE(s.find("\"mutexes_prio_protect\":0,"), std::string::npos) << s;
+  EXPECT_NE(s.find("\"mutexes_pshared\":1,"), std::string::npos) << s;
+  std::remove(stats.c_str());
 }

@@ -32,12 +32,12 @@ ri::PreloadRegistryStats snap() {
   return ri::PreloadRegistry::instance().stats();
 }
 
-// Fake "pthread_mutex_t" storage: the registry only keys on a mutex's
-// address, it never dereferences the app's mutex memory. (Rwlock
-// adoption reads glibc's kind from the lock, so rwlock tests use real
-// pthread_rwlock_t storage.)
+// Fake "pthread_mutex_t" storage: zeroed bytes, which adoption reads
+// as glibc's default mutex kind (PTHREAD_MUTEX_INITIALIZER). (Rwlock
+// adoption reads glibc's kind and pshared flag from the lock, so rwlock
+// tests use real pthread_rwlock_t storage.)
 struct FakeLock {
-  alignas(64) unsigned char bytes[64];
+  alignas(64) unsigned char bytes[64] = {};
 };
 
 }  // namespace
@@ -233,4 +233,56 @@ TEST(PreloadRegistry, ProcessSharedRwlockPassesThrough) {
   EXPECT_EQ(after.rwlocks_reader_pref - mid.rwlocks_reader_pref, 1u);
   EXPECT_EQ(after.live_nodes, mid.live_nodes);
   reg.destroy_rwlock(&rw);
+}
+
+namespace {
+pthread_mutex_t make_mutex(int robust, int protocol, int pshared) {
+  pthread_mutexattr_t attr;
+  pthread_mutexattr_init(&attr);
+  pthread_mutexattr_setrobust(&attr, robust);
+  pthread_mutexattr_setprotocol(&attr, protocol);
+  pthread_mutexattr_setpshared(&attr, pshared);
+  pthread_mutex_t m;
+  pthread_mutex_init(&m, &attr);
+  pthread_mutexattr_destroy(&attr);
+  return m;
+}
+}  // namespace
+
+// A mutex glibc owes more than exclusion within one process gets a
+// pass-through node, counted by its reason (robust first: glibc marks
+// every robust mutex pshared too); a default or errorcheck mutex is
+// adopted as before.
+TEST(PreloadRegistry, RobustPriorityAndSharedMutexesPassThrough) {
+  auto& reg = ri::PreloadRegistry::instance();
+  pthread_mutex_t robust = make_mutex(PTHREAD_MUTEX_ROBUST, PTHREAD_PRIO_NONE,
+                                      PTHREAD_PROCESS_PRIVATE);
+  pthread_mutex_t pi = make_mutex(PTHREAD_MUTEX_STALLED, PTHREAD_PRIO_INHERIT,
+                                  PTHREAD_PROCESS_PRIVATE);
+  pthread_mutex_t pp = make_mutex(PTHREAD_MUTEX_STALLED, PTHREAD_PRIO_PROTECT,
+                                  PTHREAD_PROCESS_PRIVATE);
+  pthread_mutex_t shared = make_mutex(
+      PTHREAD_MUTEX_STALLED, PTHREAD_PRIO_NONE, PTHREAD_PROCESS_SHARED);
+  pthread_mutex_t plain = make_mutex(PTHREAD_MUTEX_STALLED, PTHREAD_PRIO_NONE,
+                                     PTHREAD_PROCESS_PRIVATE);
+  const ri::PreloadRegistryStats before = snap();
+  for (pthread_mutex_t* m : {&robust, &pi, &pp, &shared}) {
+    EXPECT_EQ(reg.init_mutex(m), nullptr);
+    EXPECT_EQ(reg.mutex_for(m), nullptr);
+    EXPECT_EQ(reg.find_mutex(m), nullptr);
+  }
+  rl_mutex_t* h = reg.init_mutex(&plain);
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(reg.mutex_for(&plain), h);
+  const ri::PreloadRegistryStats after = snap();
+  EXPECT_EQ(after.mutexes_robust - before.mutexes_robust, 1u);
+  EXPECT_EQ(after.mutexes_prio_inherit - before.mutexes_prio_inherit, 1u);
+  EXPECT_EQ(after.mutexes_prio_protect - before.mutexes_prio_protect, 1u);
+  EXPECT_EQ(after.mutexes_pshared - before.mutexes_pshared, 1u);
+  EXPECT_EQ(after.init_mutexes - before.init_mutexes, 5u);
+  for (pthread_mutex_t* m : {&robust, &pi, &pp, &shared, &plain}) {
+    EXPECT_EQ(reg.destroy_mutex(m), 0);
+    pthread_mutex_destroy(m);
+  }
+  EXPECT_EQ(snap().destroyed_mutexes - after.destroyed_mutexes, 1u);
 }

@@ -11,16 +11,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/lock_registry.hpp"
 #include "core/mcs.hpp"
+#include "core/rw/crw.hpp"
 #include "core/tas.hpp"
 #include "core/ticket.hpp"
 #include "lock_test_util.hpp"
 #include "shield/held_lock_table.hpp"
+#include "shield/rw_shield.hpp"
 #include "shield/shield.hpp"
+#include "verify/access.hpp"
 #include "verify/misuse_matrix.hpp"
 
 using namespace resilock;
@@ -496,6 +501,60 @@ TEST(Shield, DeepRecursionBeyondFastPath) {
   for (std::uint32_t i = 0; i < kDepth; ++i) EXPECT_TRUE(s.release());
   EXPECT_EQ(s.held_depth(), 0u);
   EXPECT_FALSE(s.release());  // one more is a genuine misuse again
+}
+
+// ---------------------------------------------------------------------
+// Layout: one cache line per uncontended hold.
+// ---------------------------------------------------------------------
+
+namespace {
+constexpr std::size_t kLine = platform::kCacheLineSize;
+
+std::size_t offset_in(const void* outer, const void* inner) {
+  return static_cast<std::size_t>(static_cast<const char*>(inner) -
+                                  static_cast<const char*>(outer));
+}
+}  // namespace
+
+// The preload's mutex: the holder words sit in the padding the MCS
+// tail and its park bay leave on their line, so an uncontended hold
+// dirties that one line; what waiters and misuse write does not share
+// it. A bare MCS lock still claims a whole line of its own.
+TEST(ShieldLayout, HolderWordsShareTheMcsTailLine) {
+  static_assert(alignof(McsLock) == kLine && sizeof(McsLock) == kLine);
+  using S = Shield<McsLockResilient>;
+  static_assert(alignof(S) == kLine);
+  auto s = std::make_unique<S>();
+  const std::size_t tail = offset_in(s.get(), &s->base()) +
+                           VerifyAccess::mcs_tail_offset(s->base());
+  const VerifyAccess::ShieldLayout l = VerifyAccess::shield_layout(*s);
+  const std::size_t line = tail / kLine;
+  for (std::size_t hot : {l.owner, l.last_owner, l.hold_ctx, l.acquisitions,
+                          l.releases}) {
+    EXPECT_EQ(hot / kLine, line) << "holder word at " << hot;
+  }
+  EXPECT_EQ(l.releases + sizeof(std::uint64_t), (line + 1) * kLine);
+  for (std::size_t cold : {l.waiters, l.policy, l.counters, l.class_id}) {
+    EXPECT_NE(cold / kLine, line) << "cold field at " << cold;
+  }
+}
+
+// The rwlock keeps its placement: the holder words open a fresh line
+// right after the C-RW lock, and the waiter gauge opens the next one.
+TEST(ShieldLayout, RwShieldHolderWordsKeepAFreshLine) {
+  using Rw = CrwLock<kResilient, SplitReadIndicator, RwPreference::kReader,
+                     CPtktTktLock<kResilient>>;
+  auto s = std::make_unique<RwShield<Rw>>();
+  const std::size_t base_end =
+      offset_in(s.get(), &s->base()) + sizeof(Rw);
+  const VerifyAccess::ShieldLayout l = VerifyAccess::shield_layout(*s);
+  const std::size_t fresh = (base_end + kLine - 1) / kLine * kLine;
+  EXPECT_EQ(l.owner, fresh);
+  for (std::size_t hot : {l.last_owner, l.hold_ctx, l.acquisitions,
+                          l.releases}) {
+    EXPECT_EQ(hot / kLine, fresh / kLine) << "holder word at " << hot;
+  }
+  EXPECT_EQ(l.waiters, fresh + kLine);
 }
 
 // ---------------------------------------------------------------------
